@@ -32,6 +32,7 @@ from .operators import (
     mult_op,
     opnorm_estimate,
     opnorm_p1,
+    opnorm_upper_bound,
     pinch,
     projections,
     rank_one_atomic_offdiag,
@@ -66,6 +67,7 @@ __all__ = [
     "normalized_indicator",
     "opnorm_estimate",
     "opnorm_p1",
+    "opnorm_upper_bound",
     "pinch",
     "pinching_lower_bound",
     "projections",

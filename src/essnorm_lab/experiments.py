@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -36,7 +35,6 @@ from .essnorm import (
     EssNormProblem,
     best_diagonal_rank_k,
     essential_norm,
-    perturbed_ratio,
     pinching_lower_bound,
     qn_decay_profile,
     truncation_perturbation,
@@ -81,7 +79,11 @@ _FN_KINDS = ("identity", "constant", "poly", "values", "geometric_tail")
 
 CSV_HEADER = ("parameter", "computed", "certified_bound", "formula", "residual")
 
-WORKERS_ENV = "ESSNORM_LAB_WORKERS"
+# deepest refinement level a config may sweep: 2**16 cells, whose witness
+# sweep streams its exact norms through O(n) memory per column block
+MAX_LEVEL = 16
+# a random_dense perturbation is an n x n array, 128 MB at 2**12 cells
+DENSE_MAX_LEVEL = 12
 
 
 class ConfigError(ValueError):
@@ -107,7 +109,13 @@ def _req(d: dict, key: str, path: str) -> Any:
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return x
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -129,6 +137,13 @@ def _as_pair(value: Any, path: str) -> tuple[int, int]:
     hi = _as_int(value[1], f"{path}[1]")
     if hi < lo:
         raise ConfigError(path, f"range is empty: [{lo}, {hi}]")
+    return lo, hi
+
+
+def _as_levels(value: Any, path: str) -> tuple[int, int]:
+    lo, hi = _as_pair(value, path)
+    if lo < 0 or hi > MAX_LEVEL:
+        raise ConfigError(path, f"levels must lie in [0, {MAX_LEVEL}], got [{lo}, {hi}]")
     return lo, hi
 
 
@@ -348,7 +363,7 @@ class ExperimentConfig:
             ),
             p=_as_float(raw.get("p", 1.0), "p"),
             epsilon=_as_float(raw["epsilon"], "epsilon") if "epsilon" in raw else None,
-            levels=_as_pair(raw["levels"], "levels") if "levels" in raw else None,
+            levels=_as_levels(raw["levels"], "levels") if "levels" in raw else None,
             k_range=_as_pair(raw["k_range"], "k_range") if "k_range" in raw else None,
             n_max=_as_int(raw["n_max"], "n_max") if "n_max" in raw else None,
             trials=_as_int(raw["trials"], "trials") if "trials" in raw else None,
@@ -416,6 +431,9 @@ class ExperimentConfig:
             self._require(self.epsilon is not None, "epsilon", "diffuse_witness needs epsilon")
             self._require(self.perturbation["kind"] != "truncation",
                           "perturbation.kind", "truncation applies to atomic spaces only")
+            self._require(self.perturbation["kind"] != "random_dense"
+                          or self.levels[1] <= DENSE_MAX_LEVEL, "levels",
+                          f"random_dense draws an n x n matrix; levels must stay <= {DENSE_MAX_LEVEL}")
         elif s == "pinching_suite":
             self._require(self.space is not None and "random" in self.space,
                           "space.random", "pinching_suite draws random spaces")
@@ -498,7 +516,7 @@ def _tail_from(spec: dict) -> TailDescriptor:
     return TailDescriptor(spec["kind"], tuple(spec.get("params", [])))
 
 
-def _fn_callable(spec: dict, path: str) -> Callable[[float], float]:
+def _fn_callable(spec: dict, path: str) -> Callable[[np.ndarray], np.ndarray]:
     kind = spec["kind"]
     if kind == "identity":
         return lambda x: x
@@ -536,15 +554,6 @@ def _fn_vector(spec: dict, space: MeasureSpace, path: str) -> np.ndarray:
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, trial])
-
-
-def _map_trials(fn: Callable[[int], Any], n: int) -> list:
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    workers = int(env) if env else (os.cpu_count() or 1)
-    if workers <= 1 or n <= 1:
-        return [fn(t) for t in range(n)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +635,7 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
             rng = _trial_rng(pert["seed"], level)
             K = MatrixOperator(rng.uniform(-1.0, 1.0, (space.dimension, space.dimension)), space)
         cert = witness_lower_bound(u_l, K, cfg.epsilon, cfg.p)
-        if cfg.p == 1.0:
-            ok = verify_certificate(cert, u_l, K, cfg.p)
-        else:
-            # estimator-based soundness is exercised in the test suite; here
-            # only check that the stored witness reproduces the bound
-            r = perturbed_ratio(u_l, K, cert.witness, cfg.p)
-            ok = abs(r - cert.bound) <= 1e-12 * max(1.0, abs(cert.bound))
-        all_verified = all_verified and ok
+        all_verified = verify_certificate(cert, u_l, K, cfg.p) and all_verified
         formula = float(np.max(np.abs(u_l.coefficients)))
         rows.append(_make_row(level, cert.bound, cert.bound, formula))
 
@@ -647,7 +649,7 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     lo = rnd.get("mass_low", 0.1)
     hi = rnd.get("mass_high", 2.0)
 
-    def trial(t: int) -> tuple[int, float, float]:
+    def trial(t: int) -> tuple[float, float]:
         rng = _trial_rng(cfg.seed, t)
         masses = rng.uniform(lo, hi, dim)
         entries = rng.uniform(-1.0, 1.0, (dim, dim))
@@ -664,10 +666,9 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
                 np.nonzero(assign == 1)[0].tolist(),
             ]
             worst = max(worst, opnorm_p1(pinch(A, blocks)))
-        return t, worst, full
+        return worst, full
 
-    results = _map_trials(trial, cfg.trials)
-    rows = [_make_row(t, worst, full) for t, worst, full in results]
+    rows = [_make_row(t, *trial(t)) for t in range(cfg.trials)]
     violations = sum(1 for r in rows if r.computed > r.certified)
     checks = [
         Check(
@@ -768,7 +769,7 @@ def _modulus_grid_oracle(S: np.ndarray, steps: int = 5) -> np.ndarray:
 def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     dim = cfg.space["random"]["dimension"]
 
-    def trial(t: int) -> tuple[int, float, float]:
+    def trial(t: int) -> tuple[float, float]:
         rng = _trial_rng(cfg.seed, t)
         space = build_space(np.ones(dim))
         S = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), space)
@@ -782,11 +783,10 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
         Sm = MatrixOperator(rng.uniform(-1.0, 1.0, (3, 3)), small_space)
         applied = modulus(Sm).matvec(np.ones(3))
         dev_mod = float(np.max(np.abs(_modulus_grid_oracle(Sm.entries) - applied)))
-        return t, dev_jm, dev_mod
+        return dev_jm, dev_mod
 
-    results = _map_trials(trial, cfg.trials)
     # computed column: join/meet deviation; certified column: modulus deviation
-    rows = [_make_row(t, dev_jm, dev_mod, 0.0) for t, dev_jm, dev_mod in results]
+    rows = [_make_row(t, *trial(t), 0.0) for t in range(cfg.trials)]
     worst_jm = max((r.computed for r in rows), default=0.0)
     worst_mod = max((r.certified for r in rows), default=0.0)
     checks = [

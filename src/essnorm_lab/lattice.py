@@ -110,8 +110,8 @@ def centre_project(S: MatrixOperator) -> RegularDecomposition:
 
 
 def centre_decay_under_refinement(
-    eta: Callable[[float], float] | float,
-    g: Callable[[float], float] | float,
+    eta: Callable[[np.ndarray], np.ndarray] | float,
+    g: Callable[[np.ndarray], np.ndarray] | float,
     levels: Sequence[int],
     interval: tuple[float, float] = (0.0, 1.0),
 ) -> list[float]:

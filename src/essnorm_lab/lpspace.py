@@ -79,7 +79,7 @@ class StepFunction:
     def from_function(
         cls,
         space: MeasureSpace,
-        fn: Callable[[float], float],
+        fn: Callable[[np.ndarray], np.ndarray],
         atom_values: Sequence[float] | None = None,
     ) -> "StepFunction":
         """Discretize a function on the diffuse interval by cell averaging.

@@ -238,17 +238,23 @@ class MeasureSpace:
             raise ValueError("cannot refine a purely atomic space: atoms are indivisible")
         return dataclasses.replace(self, diffuse_level=self.diffuse_level + 1)
 
-    def cell_averages(self, fn: Callable[[float], float]) -> np.ndarray:
+    def cell_averages(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """Per-cell averages of a function on the diffuse interval.
 
         Uses the two-point Gauss rule on each cell, which reproduces the
-        exact average for polynomials up to degree three.
+        exact average for polynomials up to degree three.  ``fn`` is called
+        once per Gauss node set, on an array of nodes, and must act
+        elementwise (numpy ufuncs, polynomials); a scalar result stands for
+        a constant function.
         """
         if not self.has_diffuse:
             raise ValueError("purely atomic space has no cells")
         mids = self.cell_midpoints
         d = 0.5 * self.cell_mass * _GAUSS2_OFFSET
-        f = np.vectorize(fn, otypes=[float])
+
+        def f(x: np.ndarray) -> np.ndarray:
+            return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+
         return 0.5 * (f(mids - d) + f(mids + d))
 
 

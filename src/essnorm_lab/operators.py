@@ -1,16 +1,27 @@
-"""Dense operators in indicator coordinates over a discretized space.
+"""Operators in indicator coordinates over a discretized space.
 
 An operator acts on step-function coefficients, (Af)_i = sum_j A[i][j] f_j;
 the measure enters only through norms and through the rank-one
 constructors, whose kernels integrate against the weights.  The exact
 operator norm is available at p = 1; for general p a certified lower-bound
 estimator is provided (a dual-ascent power method seeded with every
-normalized indicator).
+normalized indicator) together with the Riesz-Thorin upper bound.
+
+Every operator is held as up to three parts: a diagonal d, low-rank
+factors G and E (n x r each, E already multiplied by the masses), and a
+dense remainder D, so that A = D + G E^T + diag(d).  Multiplication
+operators are the diagonal-only case and discretized integral kernels the
+factor-only case; matvec, the diagonal and M_u + K then cost O(nr), and
+the n x n entry array is built only on request.  Every entry is built by
+the same float operations in the same order as the dense sum
+((D or 0) + outer(g_1, e_1) + ... + outer(g_r, e_r)) + diag(d), one
+column block at a time, so exact p = 1 norms do not depend on the
+representation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,55 +36,140 @@ __all__ = [
     "rank_one_diffuse",
     "rank_one_atomic_offdiag",
     "opnorm_p1",
+    "opnorm_upper_bound",
     "p1_column_quotients",
     "opnorm_estimate",
     "pinch",
     "projections",
 ]
 
+# width of the column blocks that exact norms stream over: n x 64 floats
+# per temporary, 2 MB at n = 4096
+_BLOCK = 64
+
+
+def _frozen(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
 
 class MatrixOperator:
-    """Square dense operator on the coordinates of a MeasureSpace.
+    """Square operator on the coordinates of a MeasureSpace.
 
-    Immutable value: the entry array is copied on construction and marked
-    read-only.  At desk scale every operator is finite-rank, which is the
-    discrete surrogate of compactness; "compact" behavior shows up as decay
-    across truncation and refinement, not as a property of a single matrix.
+    Immutable value of up to three parts, each copied on construction and
+    marked read-only: a dense remainder D (the ``entries`` argument, or
+    None), a diagonal d (``diag``) and factors G, E (``factors``, n x r
+    each).  The operator is D + G E^T + diag(d), and zero when it has no
+    part at all; the ``entries`` attribute is its full n x n matrix, built
+    on first access.  At desk scale every operator is
+    finite-rank, which is the discrete surrogate of compactness;
+    "compact" behavior shows up as decay across truncation and
+    refinement, not as a property of a single matrix.
     """
 
-    def __init__(self, entries: Sequence[Sequence[float]], space: MeasureSpace):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"operator entries must be square, got shape {arr.shape}")
-        if arr.shape[0] != space.dimension:
-            raise ValueError(
-                f"operator dimension {arr.shape[0]} does not match "
-                f"space dimension {space.dimension}"
-            )
-        arr.setflags(write=False)
-        self.entries = arr
+    def __init__(
+        self,
+        entries: Sequence[Sequence[float]] | None,
+        space: MeasureSpace,
+        *,
+        diag: Sequence[float] | None = None,
+        factors: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        n = space.dimension
         self.space = space
+        self._dense = None
+        if entries is not None:
+            arr = np.array(entries, dtype=float)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ValueError(f"operator entries must be square, got shape {arr.shape}")
+            if arr.shape[0] != n:
+                raise ValueError(
+                    f"operator dimension {arr.shape[0]} does not match "
+                    f"space dimension {n}"
+                )
+            arr.setflags(write=False)
+            self._dense = arr
+        self._diag = None if diag is None else _frozen(diag, (n,), "diag")
+        self._factors = None
+        if factors is not None:
+            G, E = factors
+            G = np.asarray(G)
+            if G.ndim != 2:
+                raise ValueError(f"factors must be n x r arrays, got shape {G.shape}")
+            shape = (n, G.shape[1])
+            self._factors = (_frozen(G, shape, "factor G"), _frozen(E, shape, "factor E"))
+        self._entries = self._dense if self._diag is None and self._factors is None else None
 
     @property
     def dimension(self) -> int:
-        return self.entries.shape[0]
+        return self.space.dimension
+
+    @property
+    def _diagonal_only(self) -> bool:
+        return self._dense is None and self._factors is None
+
+    def _columns(self, start: int, stop: int) -> np.ndarray:
+        """Columns start:stop of the matrix, read-only or freshly built."""
+        if self._entries is not None:
+            return self._entries[:, start:stop]
+        n = self.dimension
+        if self._dense is None:
+            block = np.zeros((n, stop - start))
+        else:
+            block = self._dense[:, start:stop].copy()
+        if self._factors is not None:
+            term = np.empty_like(block)
+            for g, e in zip(self._factors[0].T, self._factors[1].T):
+                np.multiply(g[:, None], e[None, start:stop], out=term)
+                block += term
+        if self._diag is not None:
+            cols = np.arange(stop - start)
+            block[start + cols, cols] += self._diag[start:stop]
+        return block
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The n x n matrix, built on first access and kept (read-only)."""
+        if self._entries is None:
+            arr = self._columns(0, self.dimension)
+            arr.setflags(write=False)
+            self._entries = arr
+        return self._entries
 
     @property
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.entries).copy()
+        out = np.zeros(self.dimension) if self._dense is None else np.diag(self._dense).copy()
+        if self._factors is not None:
+            for g, e in zip(self._factors[0].T, self._factors[1].T):
+                out += g * e
+        if self._diag is not None:
+            out += self._diag
+        return out
 
     @classmethod
     def identity(cls, space: MeasureSpace) -> "MatrixOperator":
-        return cls(np.eye(space.dimension), space)
+        return cls(None, space, diag=np.ones(space.dimension))
 
     @classmethod
     def zero(cls, space: MeasureSpace) -> "MatrixOperator":
-        return cls(np.zeros((space.dimension, space.dimension)), space)
+        return cls(None, space)
 
     # -- action -----------------------------------------------------------
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if self._dense is not None:
+            return self.entries @ x
+        y = np.zeros(self.dimension)
+        if self._factors is not None:
+            G, E = self._factors
+            y += G @ (E.T @ x)
+        if self._diag is not None:
+            y += self._diag * x
+        return y
 
     def apply(self, f: StepFunction) -> StepFunction:
         if f.space != self.space:
@@ -87,7 +183,22 @@ class MatrixOperator:
             raise ValueError("operators live on different spaces")
 
     def __add__(self, other: "MatrixOperator") -> "MatrixOperator":
+        """Sum, kept in parts wherever the dense sum's float order allows.
+
+        A diagonal-only operand adds to the diagonal of an operand without
+        one (the dense sum adds the diagonal last as well); every other
+        pair is summed entrywise.
+        """
         self._same_space(other)
+        if self._diagonal_only and other._diagonal_only:
+            if self._diag is None or other._diag is None:
+                d = other._diag if self._diag is None else self._diag
+            else:
+                d = self._diag + other._diag
+            return MatrixOperator(None, self.space, diag=d)
+        for a, b in ((self, other), (other, self)):
+            if b._diagonal_only and a._diag is None:
+                return MatrixOperator(a._dense, self.space, diag=b._diag, factors=a._factors)
         return MatrixOperator(self.entries + other.entries, self.space)
 
     def __sub__(self, other: "MatrixOperator") -> "MatrixOperator":
@@ -117,9 +228,8 @@ class MultiplicationOperator(MatrixOperator):
         u = np.array(u_values, dtype=float)
         if u.ndim != 1 or u.size != space.dimension:
             raise ValueError("u_values length does not match the space dimension")
-        super().__init__(np.diag(u), space)
-        u.setflags(write=False)
-        self.u_values = u
+        super().__init__(None, space, diag=u)
+        self.u_values = self._diag
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.u_values * np.asarray(x, dtype=float)
@@ -146,7 +256,7 @@ def rank_one_diffuse(eta: StepFunction, g: StepFunction) -> MatrixOperator:
         raise ValueError("eta and g live on different spaces")
     space = eta.space
     row = eta.coefficients * space.masses
-    return MatrixOperator(np.outer(g.coefficients, row), space)
+    return MatrixOperator(None, space, factors=(g.coefficients[:, None], row[:, None]))
 
 
 def rank_one_atomic_offdiag(j: int, eta: StepFunction) -> MatrixOperator:
@@ -170,6 +280,23 @@ def rank_one_atomic_offdiag(j: int, eta: StepFunction) -> MatrixOperator:
     return MatrixOperator(entries, space)
 
 
+def _column_blocks(A: MatrixOperator) -> Iterable[tuple[int, int, np.ndarray]]:
+    """(start, stop, columns start:stop of A) over blocks of _BLOCK columns.
+
+    An operator no wider than one block yields its (kept) entries.  The
+    last block absorbs a single leftover column: numpy reduces a lone
+    column pairwise, but adds the rows of a wider C-contiguous block one
+    after another, top to bottom.
+    """
+    n = A.dimension
+    if n <= _BLOCK:
+        return [(0, n, A.entries)]
+    edges = list(range(0, n, _BLOCK)) + [n]
+    if n - edges[-2] == 1:
+        del edges[-2]
+    return ((start, stop, A._columns(start, stop)) for start, stop in zip(edges[:-1], edges[1:]))
+
+
 def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
     """Per-column quotients (sum_i |A[i][j]| mu_i) / mu_j.
 
@@ -177,17 +304,49 @@ def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
     indicator of coordinate j; their maximum is the exact L1 -> L1 operator
     norm.  Column sums accumulate top to bottom in a fixed order, so
     dropping rows (pinching, tail projections) can only decrease every
-    quotient, exactly, in floating point.
+    quotient, exactly, in floating point.  The columns are built and summed
+    a block at a time, so the n x n array is never formed.
     """
     mu = A.space.masses
-    weighted = np.abs(A.entries) * mu[:, None]
-    colsums = np.cumsum(weighted, axis=0)[-1, :]
+    if A._diagonal_only:
+        # the one nonzero of each column is its sum: adding zeros is exact
+        d = np.zeros(A.dimension) if A._diag is None else A._diag
+        return np.abs(d) * mu / mu
+    colsums = np.empty(A.dimension)
+    for start, stop, block in _column_blocks(A):
+        weighted = np.abs(block, order="C")
+        weighted *= mu[:, None]
+        colsums[start:stop] = np.add.reduce(weighted, axis=0)
     return colsums / mu
 
 
 def opnorm_p1(A: MatrixOperator) -> float:
     """Exact operator norm of A on weighted L1."""
     return float(np.max(p1_column_quotients(A)))
+
+
+def opnorm_upper_bound(A: MatrixOperator, p: float) -> float:
+    """Riesz-Thorin upper bound for the operator norm of A on weighted L_p.
+
+    With B = W^{1/p} A W^{-1/p} the isometric image on the unweighted
+    sequence space, |A|_p = |B|_p <= |B|_1^{1/p} |B|_inf^{1-1/p}, up to the
+    rounding of the column and row sums of |B|, which stream over the same
+    column blocks as the exact L1 norm.  At p = 1 the exact norm is
+    returned.
+    """
+    p = _check_p(p)
+    if p == 1.0:
+        return opnorm_p1(A)
+    w = A.space.masses ** (1.0 / p)
+    colsums = np.empty(A.dimension)
+    rowsums = np.zeros(A.dimension)
+    for start, stop, block in _column_blocks(A):
+        absb = np.abs(block)
+        colsums[start:stop] = w @ absb
+        rowsums += absb @ (1.0 / w[start:stop])
+    norm_1 = float(np.max(colsums / w))
+    norm_inf = float(np.max(w * rowsums))
+    return norm_1 ** (1.0 / p) * norm_inf ** (1.0 - 1.0 / p)
 
 
 def _pnorm(x: np.ndarray, p: float) -> float:
@@ -319,7 +478,10 @@ class FunctionKernel:
     perturbation across levels" meaningful.
     """
 
-    def __init__(self, pairs: Sequence[tuple[Callable[[float], float], Callable[[float], float]]]):
+    def __init__(
+        self,
+        pairs: Sequence[tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]],
+    ):
         self.pairs = list(pairs)
 
     @property
@@ -349,10 +511,14 @@ class FunctionKernel:
         return cls(pairs)
 
     def discretize(self, space: MeasureSpace) -> MatrixOperator:
-        """Matrix of the kernel on a given space (cell-averaged factors)."""
-        acc = np.zeros((space.dimension, space.dimension))
-        for eta_fn, g_fn in self.pairs:
-            eta = StepFunction.from_function(space, eta_fn)
-            g = StepFunction.from_function(space, g_fn)
-            acc += np.outer(g.coefficients, eta.coefficients * space.masses)
-        return MatrixOperator(acc, space)
+        """The kernel on a given space, held as its factors.
+
+        Column r of G holds the cell averages of g_r, column r of E those
+        of eta_r times the masses, so K = G E^T.
+        """
+        G = np.empty((space.dimension, self.rank))
+        E = np.empty((space.dimension, self.rank))
+        for r, (eta_fn, g_fn) in enumerate(self.pairs):
+            G[:, r] = StepFunction.from_function(space, g_fn).coefficients
+            E[:, r] = StepFunction.from_function(space, eta_fn).coefficients * space.masses
+        return MatrixOperator(None, space, factors=(G, E))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from essnorm_lab.lattice import centre_project
 from essnorm_lab.lpspace import StepFunction, norm_p
 from essnorm_lab.measure import TailDescriptor, build_space
 from essnorm_lab.operators import (
+    FunctionKernel,
     MatrixOperator,
     MultiplicationOperator,
     mult_op,
@@ -259,6 +261,66 @@ class TestWitnessLowerBound:
         assert r == cert.bound
         if p == 1.0:
             assert cert.bound <= opnorm_p1(mult_op(u) + K) * (1 + 1e-12)
+
+
+def dense_kernel(kernel, space):
+    """The dense construction of a discretized kernel: zeros, then
+    += outer(g_r, eta_r * mu) for r in order."""
+    acc = np.zeros((space.dimension, space.dimension))
+    for eta_fn, g_fn in kernel.pairs:
+        eta = StepFunction.from_function(space, eta_fn)
+        g = StepFunction.from_function(space, g_fn)
+        acc += np.outer(g.coefficients, eta.coefficients * space.masses)
+    return acc
+
+
+def diffuse_problem(seed, level):
+    space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=level)
+    u = StepFunction.from_function(space, lambda x: x)
+    return u, FunctionKernel.random_polynomial(3, seed)
+
+
+class TestFactoredWitness:
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_bound_within_4_ulps_of_dense(self, seed, p):
+        # the factored matvec sums G (E^T x) instead of one dense row
+        # product, so quotients may move in the last bits
+        for level in range(6, 10):
+            u, kernel = diffuse_problem(seed, level)
+            K = kernel.discretize(u.space)
+            K_dense = MatrixOperator(dense_kernel(kernel, u.space), u.space)
+            factored = witness_lower_bound(u, K, 0.1, p).bound
+            dense = witness_lower_bound(u, K_dense, 0.1, p).bound
+            ulps = abs(int(np.float64(factored).view(np.int64)) - int(np.float64(dense).view(np.int64)))
+            assert ulps <= 4, (level, factored, dense)
+
+    @pytest.mark.parametrize("seed", [79, 109])
+    def test_general_p_checked_against_upper_bound(self, seed):
+        # these witness bounds exceed opnorm_estimate (a lower bound, so no
+        # reference for soundness) but lie far below the Riesz-Thorin bound
+        u, kernel = diffuse_problem(seed, 7)
+        K = kernel.discretize(u.space)
+        cert = witness_lower_bound(u, K, 0.1, 1.5)
+        assert verify_certificate(cert, u, K, 1.5)
+
+    def test_level_12_streams_without_entries(self, monkeypatch):
+        u, kernel = diffuse_problem(7, 12)
+        K = kernel.discretize(u.space)
+
+        def no_entries(self):
+            raise AssertionError("the n x n entry array was built")
+
+        monkeypatch.setattr(MatrixOperator, "entries", property(no_entries))
+        tracemalloc.start()
+        try:
+            cert = witness_lower_bound(u, K, 0.1, 1.0)
+            verified = verify_certificate(cert, u, K, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verified
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestQnDecayProfile:

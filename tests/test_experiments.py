@@ -8,6 +8,7 @@ from essnorm_lab.experiments import (
     SCENARIOS,
     Check,
     ConfigError,
+    MAX_LEVEL,
     ExperimentConfig,
     Row,
     ScenarioResult,
@@ -100,6 +101,42 @@ class TestConfigParsing:
             assert cfg == again
             assert cfg.to_dict() == again.to_dict()
 
+    @pytest.mark.parametrize("field", ["p", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_number_rejected(self, field, value):
+        cfg = diffuse_witness_config()
+        cfg[field] = value
+        with pytest.raises(ConfigError, match="finite") as e:
+            ExperimentConfig.from_dict(cfg)
+        assert e.value.path == field
+
+    def test_nan_inside_list_rejected(self):
+        cfg = diffuse_witness_config()
+        cfg["space"]["interval"] = [0.0, float("nan")]
+        with pytest.raises(ConfigError, match="finite"):
+            ExperimentConfig.from_dict(cfg)
+
+    @pytest.mark.parametrize("levels", [[0, MAX_LEVEL + 1], [0, 30], [-1, 3]])
+    def test_levels_outside_range_rejected(self, levels):
+        cfg = diffuse_witness_config()
+        cfg["levels"] = levels
+        with pytest.raises(ConfigError, match="levels must lie in") as e:
+            ExperimentConfig.from_dict(cfg)
+        assert e.value.path == "levels"
+
+    def test_dense_perturbation_levels_capped(self):
+        cfg = diffuse_witness_config()
+        cfg["perturbation"] = {"kind": "random_dense", "seed": 1}
+        cfg["levels"] = [5, 13]
+        with pytest.raises(ConfigError, match="random_dense") as e:
+            ExperimentConfig.from_dict(cfg)
+        assert e.value.path == "levels"
+
+    def test_deepest_level_accepted(self):
+        cfg = diffuse_witness_config()
+        cfg["levels"] = [MAX_LEVEL, MAX_LEVEL]
+        assert ExperimentConfig.from_dict(cfg).levels == (MAX_LEVEL, MAX_LEVEL)
+
     def test_bad_tail_kind_path(self):
         cfg = atomic_limsup_config()
         cfg["u"]["tail"] = {"kind": "nope", "params": []}
@@ -191,6 +228,15 @@ class TestScenarios:
         result = run_scenario(cfg)
         assert result.passed
 
+    def test_diffuse_witness_verifies_general_p(self):
+        # kernel 79 at level 7, p = 1.5: a sound witness bound that beats
+        # the estimator's local maximum, so only an upper bound checks it
+        cfg = diffuse_witness_config()
+        cfg.update(p=1.5, levels=[7, 7])
+        cfg["perturbation"]["seed"] = 79
+        result = run_scenario(ExperimentConfig.from_dict(cfg))
+        assert result.checks == [Check("certificates_verified", True)]
+
     def test_determinism(self):
         cfg = ExperimentConfig.from_dict(diffuse_witness_config())
         r1 = run_scenario(cfg)
@@ -270,6 +316,19 @@ class TestCli:
         result = runner.invoke(main, ["validate", "--config", str(path)])
         assert result.exit_code == 2
 
+    def test_validate_non_finite_and_deep_levels_exit_2(self, tmp_path):
+        # json accepts the NaN literal; before any allocation the config
+        # must be refused, not run at 2**30 cells
+        cfg = json.dumps(diffuse_witness_config())
+        cfg = cfg.replace('"p": 1.0', '"p": NaN').replace('"epsilon": 0.1', '"epsilon": NaN')
+        cfg = cfg.replace('"levels": [5, 7]', '"levels": [0, 30]')
+        assert "NaN" in cfg and "30" in cfg
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "OK" not in result.output
+
     def test_validate_missing_file_exit_2(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, ["validate", "--config", str(tmp_path / "nope.json")])
@@ -319,21 +378,19 @@ class TestCli:
         assert "result: FAIL" in (out / "qn_decay.report.txt").read_text()
 
 
-class TestWorkerEnv:
-    def test_parallel_matches_serial(self, monkeypatch):
+class TestTrialScenarios:
+    @pytest.mark.parametrize("scenario", ["pinching_suite", "lattice_oracle"])
+    def test_rerun_gives_equal_rows(self, scenario):
         cfg = ExperimentConfig.from_dict(
             {
-                "scenario": "pinching_suite",
+                "scenario": scenario,
                 "space": {"random": {"dimension": 5}},
                 "trials": 40,
                 "p": 1.0,
                 "seed": 9,
             }
         )
-        monkeypatch.setenv("ESSNORM_LAB_WORKERS", "1")
-        serial = run_scenario(cfg)
-        monkeypatch.setenv("ESSNORM_LAB_WORKERS", "4")
-        parallel = run_scenario(cfg)
-        assert [(r.param, r.computed, r.certified) for r in serial.rows] == [
-            (r.param, r.computed, r.certified) for r in parallel.rows
-        ]
+        first = run_scenario(cfg)
+        second = run_scenario(cfg)
+        assert [int(r.param) for r in first.rows] == list(range(40))
+        assert first.rows == second.rows

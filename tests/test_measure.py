@@ -140,6 +140,20 @@ class TestCellGeometry:
         exact = (edges[1:] ** 4 - edges[:-1] ** 4) / 4.0 / 0.25
         np.testing.assert_allclose(got, exact, rtol=1e-14)
 
+    def test_array_evaluation_matches_pointwise(self):
+        # one call on the node array gives the values a call per node gives
+        polys = [np.polynomial.Polynomial(c) for c in np.random.default_rng(4).uniform(-1, 1, (20, 3))]
+        fns = [lambda x: x, lambda x: 1.0, lambda x: -0.375, lambda x: x**3, *polys]
+        for level in range(11):
+            space = build_space((0.5,), diffuse_interval=(-1.0, 2.0), diffuse_level=level)
+            mids = space.cell_midpoints
+            d = 0.5 * space.cell_mass * (1.0 / np.sqrt(3.0))
+            for fn in fns:
+                f = np.vectorize(fn, otypes=[float])
+                expected = 0.5 * (f(mids - d) + f(mids + d))
+                got = space.cell_averages(fn)
+                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
     def test_immutability(self):
         space = build_space((1.0,), diffuse_interval=(0, 1), diffuse_level=1)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from essnorm_lab.operators import (
     mult_op,
     opnorm_estimate,
     opnorm_p1,
+    opnorm_upper_bound,
     p1_column_quotients,
     pinch,
     projections,
@@ -368,3 +369,128 @@ class TestFunctionKernel:
         np.testing.assert_array_equal(
             kern.discretize(space).entries, rank_one_diffuse(one, one).entries
         )
+
+
+def dense_kernel(kernel, space):
+    """The dense construction of a discretized kernel: zeros, then
+    += outer(g_r, eta_r * mu) for r in order."""
+    acc = np.zeros((space.dimension, space.dimension))
+    for eta_fn, g_fn in kernel.pairs:
+        eta = StepFunction.from_function(space, eta_fn)
+        g = StepFunction.from_function(space, g_fn)
+        acc += np.outer(g.coefficients, eta.coefficients * space.masses)
+    return acc
+
+
+def dense_quotients(entries, space):
+    """Column quotients summed as one cumsum over all n rows."""
+    mu = space.masses
+    return np.cumsum(np.abs(entries) * mu[:, None], axis=0)[-1] / mu
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# atoms of unequal masses ahead of the cells; dimensions 33 to 131, among
+# them 65 and 129, one column past a block edge
+FACTORED_SPACES = [
+    build_space(masses, diffuse_interval=(0.0, 1.0), diffuse_level=level)
+    for masses, level in (
+        ((0.3,), 5),
+        ((0.3, 1.7), 6),
+        ((0.05,), 6),
+        ((0.3, 1.7, 0.05), 7),
+        ((0.9,), 7),
+    )
+]
+
+
+def symbol(space, seed):
+    atoms = np.random.default_rng(seed).uniform(-2.0, 2.0, space.n_atoms)
+    return StepFunction.from_function(space, lambda x: x, atom_values=atoms)
+
+
+class TestFactoredOperators:
+    @pytest.mark.parametrize("space", FACTORED_SPACES, ids=lambda s: f"n{s.dimension}")
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_entries_match_dense_sum(self, space, seed):
+        kernel = FunctionKernel.random_polynomial(3, seed)
+        u = symbol(space, seed)
+        K = kernel.discretize(space)
+        A = mult_op(u) + K
+        acc = dense_kernel(kernel, space)
+        dense = np.diag(u.coefficients) + acc
+        np.testing.assert_array_equal(bits(K.entries), bits(acc))
+        np.testing.assert_array_equal(bits(A.entries), bits(dense))
+        np.testing.assert_array_equal(bits(A.diagonal), bits(np.diag(dense)))
+        np.testing.assert_array_equal(bits(K.diagonal), bits(np.diag(acc)))
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, space.dimension)
+        np.testing.assert_allclose(A.matvec(x), dense @ x, rtol=1e-13, atol=1e-15)
+        assert not A.entries.flags.writeable
+
+    @pytest.mark.parametrize("space", FACTORED_SPACES, ids=lambda s: f"n{s.dimension}")
+    def test_blockwise_quotients_match_cumsum(self, space):
+        rng = np.random.default_rng(space.dimension)
+        kernel = FunctionKernel.random_polynomial(3, 5)
+        u = symbol(space, 5)
+        R = rng.uniform(-1.0, 1.0, (space.dimension, space.dimension))
+        acc = dense_kernel(kernel, space)
+        cases = [
+            (kernel.discretize(space), acc),
+            (mult_op(u) + kernel.discretize(space), np.diag(u.coefficients) + acc),
+            (MatrixOperator(R, space), R),
+            (mult_op(u) + MatrixOperator(R, space), np.diag(u.coefficients) + R),
+            (MatrixOperator(R.T, space), R.T),
+            (mult_op(u), np.diag(u.coefficients)),
+        ]
+        for A, dense in cases:
+            expected = dense_quotients(dense, space)
+            np.testing.assert_array_equal(bits(p1_column_quotients(A)), bits(expected))
+            assert opnorm_p1(A) == float(np.max(expected))
+
+    def test_sum_keeps_parts(self):
+        space = FACTORED_SPACES[1]
+        K = FunctionKernel.random_polynomial(3, 0).discretize(space)
+        u = symbol(space, 0)
+        assert (mult_op(u) + K)._entries is None
+        assert (K + mult_op(u))._entries is None
+        assert (mult_op(u) + mult_op(u))._entries is None
+        np.testing.assert_array_equal(
+            bits((K + mult_op(u)).entries), bits((mult_op(u) + K).entries)
+        )
+
+    def test_zero_has_no_parts(self):
+        space = FACTORED_SPACES[0]
+        Z = MatrixOperator.zero(space)
+        assert Z._dense is None and Z._diag is None and Z._factors is None
+        np.testing.assert_array_equal(Z.matvec(np.ones(space.dimension)), 0.0)
+        np.testing.assert_array_equal(p1_column_quotients(Z), 0.0)
+
+    def test_factor_shapes_checked(self):
+        space = unit_atoms(3)
+        with pytest.raises(ValueError, match="shape"):
+            MatrixOperator(None, space, factors=(np.ones((3, 2)), np.ones((3, 1))))
+        with pytest.raises(ValueError, match="shape"):
+            MatrixOperator(None, space, diag=np.ones(2))
+
+
+def riesz_thorin(entries, space, p):
+    w = space.masses ** (1.0 / p)
+    B = np.abs(w[:, None] * entries / w[None, :])
+    return B.sum(axis=0).max() ** (1.0 / p) * B.sum(axis=1).max() ** (1.0 - 1.0 / p)
+
+
+class TestOpnormUpperBound:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_dense_riesz_thorin(self, p):
+        for space in FACTORED_SPACES[:3]:
+            kernel = FunctionKernel.random_polynomial(3, 2)
+            A = mult_op(symbol(space, 2)) + kernel.discretize(space)
+            upper = opnorm_upper_bound(A, p)
+            assert upper == pytest.approx(riesz_thorin(A.entries, space, p), rel=1e-13)
+            assert opnorm_estimate(A, p) <= upper * (1 + 1e-12)
+
+    def test_exact_at_p1(self):
+        A = MatrixOperator([[1.0, -2.0], [3.0, 4.0]], build_space((0.3, 1.7)))
+        assert opnorm_upper_bound(A, 1.0) == opnorm_p1(A)
