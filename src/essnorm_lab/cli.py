@@ -1,13 +1,16 @@
 """Command-line entry point: run, validate, and list experiment scenarios.
 
 Exit codes: 0 success (all scenario assertions passed), 1 assertion
-failure, 2 configuration error.
+failure or unwritable output, 2 configuration error, 3 internal error (any
+other exception raised while running, a fault of the library rather than of
+the config).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import click
@@ -41,10 +44,10 @@ def run(config_path: str, out_dir: str):
     except ConfigError as e:
         click.echo(f"config error: {e}", err=True)
         sys.exit(2)
-    except ValueError as e:
-        # scenario precondition violated by otherwise well-formed data
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
+    except Exception as e:
+        click.echo(traceback.format_exc(), err=True)
+        click.echo(f"internal error: {type(e).__name__}: {e}", err=True)
+        sys.exit(3)
     try:
         paths = emit(result, out_dir, config)
     except RuntimeError as e:

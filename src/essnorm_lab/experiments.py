@@ -627,6 +627,13 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
     for level in range(l0, l1 + 1):
         space = build_space(diffuse_interval=(a, b), diffuse_level=level)
         u_l = StepFunction.from_function(space, ufn)
+        formula = float(np.max(np.abs(u_l.coefficients)))
+        if not cfg.epsilon < formula:
+            # the witness sets need cells with |u| above max|u| - epsilon
+            raise ConfigError(
+                "epsilon",
+                f"epsilon must lie below max|u| = {formula} at level {level}, got {cfg.epsilon}",
+            )
         if pert["kind"] == "none":
             K = MatrixOperator.zero(space)
         elif pert["kind"] == "rank_one":
@@ -636,7 +643,6 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
             K = MatrixOperator(rng.uniform(-1.0, 1.0, (space.dimension, space.dimension)), space)
         cert = witness_lower_bound(u_l, K, cfg.epsilon, cfg.p)
         all_verified = verify_certificate(cert, u_l, K, cfg.p) and all_verified
-        formula = float(np.max(np.abs(u_l.coefficients)))
         rows.append(_make_row(level, cert.bound, cert.bound, formula))
 
     checks = [Check("certificates_verified", all_verified)]

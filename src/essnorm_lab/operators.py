@@ -21,7 +21,7 @@ representation.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,17 +111,24 @@ class MatrixOperator:
     def _diagonal_only(self) -> bool:
         return self._dense is None and self._factors is None
 
-    def _columns(self, start: int, stop: int) -> np.ndarray:
-        """Columns start:stop of the matrix, read-only or freshly built."""
+    def _columns(
+        self, start: int, stop: int, out: np.ndarray | None = None, term: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Columns start:stop of the matrix, read-only or built.
+
+        A block is built in ``out`` with ``term`` as scratch, both
+        n x (stop - start) arrays that are allocated when not given.
+        """
         if self._entries is not None:
             return self._entries[:, start:stop]
-        n = self.dimension
-        if self._dense is None:
-            block = np.zeros((n, stop - start))
-        else:
-            block = self._dense[:, start:stop].copy()
+        shape = (self.dimension, stop - start)
+        block = np.zeros(shape) if out is None else out
+        if self._dense is not None:
+            np.copyto(block, self._dense[:, start:stop])
+        elif out is not None:
+            block.fill(0.0)
         if self._factors is not None:
-            term = np.empty_like(block)
+            term = np.empty(shape) if term is None else term
             for g, e in zip(self._factors[0].T, self._factors[1].T):
                 np.multiply(g[:, None], e[None, start:stop], out=term)
                 block += term
@@ -280,21 +287,29 @@ def rank_one_atomic_offdiag(j: int, eta: StepFunction) -> MatrixOperator:
     return MatrixOperator(entries, space)
 
 
-def _column_blocks(A: MatrixOperator) -> Iterable[tuple[int, int, np.ndarray]]:
+def _column_blocks(A: MatrixOperator) -> Iterator[tuple[int, int, np.ndarray]]:
     """(start, stop, columns start:stop of A) over blocks of _BLOCK columns.
 
     An operator no wider than one block yields its (kept) entries.  The
     last block absorbs a single leftover column: numpy reduces a lone
     column pairwise, but adds the rows of a wider C-contiguous block one
-    after another, top to bottom.
+    after another, top to bottom.  Built blocks are C-contiguous, writable
+    and share one buffer: each is scratch that the caller may overwrite,
+    valid only until the next one is yielded.
     """
     n = A.dimension
     if n <= _BLOCK:
-        return [(0, n, A.entries)]
+        yield 0, n, A.entries
+        return
     edges = list(range(0, n, _BLOCK)) + [n]
     if n - edges[-2] == 1:
         del edges[-2]
-    return ((start, stop, A._columns(start, stop)) for start, stop in zip(edges[:-1], edges[1:]))
+    out, term = np.empty(n * (_BLOCK + 1)), np.empty(n * (_BLOCK + 1))
+    for start, stop in zip(edges[:-1], edges[1:]):
+        size = n * (stop - start)
+        yield start, stop, A._columns(
+            start, stop, out[:size].reshape(n, -1), term[:size].reshape(n, -1)
+        )
 
 
 def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
@@ -314,7 +329,8 @@ def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
         return np.abs(d) * mu / mu
     colsums = np.empty(A.dimension)
     for start, stop, block in _column_blocks(A):
-        weighted = np.abs(block, order="C")
+        # a built block is scratch; kept entries are read-only
+        weighted = np.abs(block, out=block if block.flags.writeable else None, order="C")
         weighted *= mu[:, None]
         colsums[start:stop] = np.add.reduce(weighted, axis=0)
     return colsums / mu
@@ -349,42 +365,54 @@ def opnorm_upper_bound(A: MatrixOperator, p: float) -> float:
     return norm_1 ** (1.0 / p) * norm_inf ** (1.0 - 1.0 / p)
 
 
-def _pnorm(x: np.ndarray, p: float) -> float:
-    if p == 1.0:
-        return float(np.sum(np.abs(x)))
-    return float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+# termination reasons of the block ascent, in the order its exit tests run
+_REASONS = np.array(["zero", "stationary", "converged", "max_iter"])
 
 
-def _dual_ascent(B: np.ndarray, p: float, q: float, x: np.ndarray, max_iter: int, tol: float) -> float:
-    """Best |Bx|_p over the iterates of the p-norm power method, |x|_p = 1.
+def _colnorms(X: np.ndarray, p: float) -> np.ndarray:
+    return np.add.reduce(np.abs(X) ** p, axis=0) ** (1.0 / p)
 
-    Each iterate value is an attained Rayleigh-type quotient, hence a true
-    lower bound for the induced p-norm of B.
+
+def _block_ascent(B: np.ndarray, p: float, max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The p-norm power method on B from every seed at once.
+
+    The seeds are the columns of [1 | I], scaled to unit p-norm.  They
+    iterate together, one B @ X and one B.T @ Xi per step over the seeds
+    still active, and each stops on its own at the first of: a zero image,
+    dual stationarity (its iterate is a local maximizer), or a quotient
+    within tol * max(quotient, 1) of the one before; else after max_iter
+    steps.  Returns per seed the best quotient |Bx|_p it attained, a true
+    lower bound for the induced p-norm of B, and why it stopped (one of
+    _REASONS).
     """
-    xn = _pnorm(x, p)
-    if xn == 0.0:
-        return 0.0
-    x = x / xn
-    best = 0.0
-    prev = -1.0
+    n = B.shape[0]
+    q = p / (p - 1.0)
+    X = np.hstack([np.ones((n, 1)), np.eye(n)])
+    X /= _colnorms(X, p)
+    best = np.zeros(n + 1)
+    reason = np.full(n + 1, len(_REASONS) - 1)
+    live = np.arange(n + 1)  # the seed of each column of X
+    prev = np.full(n + 1, -1.0)
     for _ in range(max_iter):
-        y = B @ x
-        gamma = _pnorm(y, p)
-        if gamma == 0.0:
+        Y = B @ X
+        gamma = _colnorms(Y, p)
+        best[live] = np.maximum(best[live], gamma)
+        zero = gamma == 0.0
+        # dual vectors of the images: |xi|_q = 1 and <xi, y> = |y|_p
+        Xi = np.sign(Y) * np.abs(Y) ** (p - 1.0) / np.where(zero, 1.0, gamma) ** (p - 1.0)
+        Z = B.T @ Xi
+        zeta = _colnorms(Z, q)
+        stationary = zeta <= np.add.reduce(Z * X, axis=0) * (1.0 + 1e-14)
+        converged = (prev >= 0.0) & (np.abs(gamma - prev) <= tol * np.maximum(gamma, 1.0))
+        # the first exit test a seed meets is its reason; -1 keeps it going
+        code = np.where(zero, 0, np.where(stationary, 1, np.where(converged, 2, -1)))
+        go = code < 0
+        reason[live[~go]] = code[~go]
+        if not go.any():
             break
-        if gamma > best:
-            best = gamma
-        # dual vector of y: |xi|_q = 1 and <xi, y> = |y|_p
-        xi = np.sign(y) * np.abs(y) ** (p - 1.0) / gamma ** (p - 1.0)
-        z = B.T @ xi
-        zeta = _pnorm(z, q)
-        if zeta <= float(z @ x) * (1.0 + 1e-14):
-            break  # dual stationarity: x is a local maximizer
-        if prev >= 0.0 and abs(gamma - prev) <= tol * max(gamma, 1.0):
-            break
-        prev = gamma
-        x = np.sign(z) * np.abs(z) ** (q - 1.0) / zeta ** (q - 1.0)
-    return best
+        live, prev, Z, zeta = live[go], gamma[go], Z[:, go], zeta[go]
+        X = np.sign(Z) * np.abs(Z) ** (q - 1.0) / zeta ** (q - 1.0)
+    return best, _REASONS[reason]
 
 
 def opnorm_estimate(A: MatrixOperator, p: float, *, max_iter: int = 100, tol: float = 1e-12) -> float:
@@ -392,34 +420,23 @@ def opnorm_estimate(A: MatrixOperator, p: float, *, max_iter: int = 100, tol: fl
 
     The weighted problem is mapped isometrically to the unweighted sequence
     space (B = W^{1/p} A W^{-1/p}) and a dual-ascent power method is run
-    from every normalized-indicator seed and from the all-ones seed, keeping
-    the best attained quotient.  The result is therefore at least
-    max_j |A e_j|_p / |e_j|_p and at least max_i |A_ii| (the norm of the
-    diagonal part, attained by indicator seeds in exact arithmetic, floored
-    explicitly to keep the guarantee under roundoff).  At p = 1 the exact
-    norm is returned.
+    from every normalized-indicator seed and from the all-ones seed, all
+    seeds as one block iteration, keeping the best attained quotient.  The
+    result is therefore at least max_j |A e_j|_p / |e_j|_p and at least
+    max_i |A_ii| (the norm of the diagonal part, attained by indicator
+    seeds in exact arithmetic, floored explicitly to keep the guarantee
+    under roundoff).  At p = 1 the exact norm is returned.
     """
     p = _check_p(p)
     if p == 1.0:
         return opnorm_p1(A)
-    n = A.dimension
-    mu = A.space.masses
-    w = mu ** (1.0 / p)
+    w = A.space.masses ** (1.0 / p)
     B = (w[:, None] * A.entries) / w[None, :]
-    q = p / (p - 1.0)
-
     best = float(np.max(np.abs(np.diag(A.entries))))
     # first iterate of every indicator seed, computed directly
-    colnorms = np.sum(np.abs(B) ** p, axis=0) ** (1.0 / p)
-    best = max(best, float(np.max(colnorms)))
-
-    seeds = [np.ones(n)]
-    seeds.extend(np.eye(n)[:, j] for j in range(n))
-    for x0 in seeds:
-        value = _dual_ascent(B, p, q, x0, max_iter, tol)
-        if value > best:
-            best = value
-    return best
+    best = max(best, float(np.max(_colnorms(B, p))))
+    values, _ = _block_ascent(B, p, max_iter, tol)
+    return max(best, float(np.max(values)))
 
 
 def pinch(A: MatrixOperator, blocks: Sequence[Sequence[int]]) -> MatrixOperator:

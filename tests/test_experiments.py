@@ -364,6 +364,33 @@ class TestCli:
         assert result.exit_code == 2
         assert "eps" in result.output
 
+    def test_run_epsilon_above_sup_is_config_error(self, tmp_path):
+        # max|u| = 0.984375 at level 5: the data, not the library, are wrong
+        cfg = diffuse_witness_config()
+        cfg["epsilon"] = 2.0
+        with pytest.raises(ConfigError, match="epsilon"):
+            run_scenario(ExperimentConfig.from_dict(cfg))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "config error: epsilon" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_run_library_error_exit_3(self, tmp_path, monkeypatch):
+        # a ValueError from inside the library is a fault, not a config error
+        def broken(*args, **kwargs):
+            raise ValueError("broken witness")
+
+        monkeypatch.setattr("essnorm_lab.experiments.witness_lower_bound", broken)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(diffuse_witness_config()))
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 3
+        assert "internal error: ValueError: broken witness" in result.output
+        assert "config error" not in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_run_failing_assertion_exit_1(self, tmp_path):
         # a wrong formula makes the matches_formula assertion fail
         cfg = qn_decay_config()

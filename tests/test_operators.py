@@ -6,6 +6,7 @@ from essnorm_lab.measure import build_space
 from essnorm_lab.operators import (
     FunctionKernel,
     MatrixOperator,
+    _block_ascent,
     mult_op,
     opnorm_estimate,
     opnorm_p1,
@@ -237,6 +238,128 @@ class TestOpnormEstimate:
                 space = build_space(rng.uniform(0.1, 2.0, 5))
                 A = MatrixOperator(rng.uniform(-1, 1, (5, 5)), space)
                 assert np.max(np.abs(np.diag(A.entries))) <= opnorm_estimate(A, p)
+
+
+def reference_ascent(B, p, x, max_iter=100, tol=1e-12):
+    """The p-norm dual ascent from one seed, run on its own.
+
+    Best attained quotient and termination reason, in the per-seed loop
+    that the block ascent replaced.
+    """
+
+    def pnorm(v, r):
+        return float(np.sum(np.abs(v) ** r) ** (1.0 / r))
+
+    q = p / (p - 1.0)
+    x = x / pnorm(x, p)
+    best = 0.0
+    prev = -1.0
+    for _ in range(max_iter):
+        y = B @ x
+        gamma = pnorm(y, p)
+        if gamma == 0.0:
+            return best, "zero"
+        best = max(best, gamma)
+        xi = np.sign(y) * np.abs(y) ** (p - 1.0) / gamma ** (p - 1.0)
+        z = B.T @ xi
+        zeta = pnorm(z, q)
+        if zeta <= float(z @ x) * (1.0 + 1e-14):
+            return best, "stationary"
+        if prev >= 0.0 and abs(gamma - prev) <= tol * max(gamma, 1.0):
+            return best, "converged"
+        prev = gamma
+        x = np.sign(z) * np.abs(z) ** (q - 1.0) / zeta ** (q - 1.0)
+    return best, "max_iter"
+
+
+def isometric_image(A, p):
+    w = A.space.masses ** (1.0 / p)
+    return (w[:, None] * A.entries) / w[None, :]
+
+
+def reference_seed_values(A, p, max_iter=100):
+    """Per-seed reference values over the seeds 1, e_1, ..., e_n."""
+    B = isometric_image(A, p)
+    n = A.dimension
+    seeds = [np.ones(n)] + [np.eye(n)[:, j] for j in range(n)]
+    return np.array([reference_ascent(B, p, x, max_iter)[0] for x in seeds])
+
+
+def criterion_4_ensemble(step=5):
+    """Every step-th operator of the acceptance suite's criterion-4 ensemble."""
+    ops = []
+    for t in range(0, 500, step):
+        rng = np.random.default_rng([20103, t])
+        space = build_space(rng.uniform(0.1, 2.0, 6))
+        ops.append(MatrixOperator(rng.uniform(-1.0, 1.0, (6, 6)), space))
+    return ops
+
+
+def refine_operator(level, kernel_seed=7):
+    """M_u + K with u the identity on [0, 1] and a rank-3 kernel."""
+    space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=level)
+    u = StepFunction.from_function(space, lambda x: x)
+    return mult_op(u) + FunctionKernel.random_polynomial(3, kernel_seed).discretize(space)
+
+
+class TestBlockAscent:
+    def check_against_reference(self, A, p, max_iter=100):
+        B = isometric_image(A, p)
+        values, reasons = _block_ascent(B, p, max_iter, 1e-12)
+        expected = reference_seed_values(A, p, max_iter)
+        assert len(reasons) == A.dimension + 1
+        np.testing.assert_allclose(values, expected, rtol=1e-13, atol=0.0)
+        diag_floor = float(np.max(np.abs(np.diag(A.entries))))
+        col_floor = float(np.max(np.sum(np.abs(B) ** p, axis=0) ** (1.0 / p)))
+        est = opnorm_estimate(A, p, max_iter=max_iter)
+        assert est >= diag_floor and est >= col_floor
+        assert est == pytest.approx(max(diag_floor, col_floor, float(np.max(expected))), rel=1e-13)
+        return reasons
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_matches_per_seed_loop_on_criterion_4_ensemble(self, p):
+        for A in criterion_4_ensemble():
+            self.check_against_reference(A, p)
+
+    @pytest.mark.parametrize("level", [4, 5, 6, 7, 8])
+    def test_matches_per_seed_loop_on_witness_operators(self, level):
+        # level 8 runs every seed for max_iter steps: p = 2 only
+        for p in (1.5, 2.0, 3.0) if level < 8 else (2.0,):
+            self.check_against_reference(refine_operator(level), p)
+
+    def test_termination_reasons(self):
+        # the level-8 refine operator: every seed is still climbing after
+        # max_iter steps, which is why the estimate stops short of the
+        # spectral norm
+        A = refine_operator(8)
+        _, reasons = _block_ascent(isometric_image(A, 2.0), 2.0, 100, 1e-12)
+        assert reasons.tolist() == ["max_iter"] * 257
+        # a diagonal operator: every indicator seed is a local maximizer
+        u = StepFunction.from_function(A.space, lambda x: x)
+        values, reasons = _block_ascent(mult_op(u).entries, 2.0, 100, 1e-12)
+        assert reasons[1:].tolist() == ["stationary"] * 256
+        np.testing.assert_array_equal(values[1:], np.abs(u.coefficients))
+
+    def test_zero_operator(self):
+        Z = MatrixOperator.zero(build_space((0.5, 1.0, 2.0)))
+        values, reasons = _block_ascent(Z.entries, 2.0, 100, 1e-12)
+        np.testing.assert_array_equal(values, 0.0)
+        assert reasons.tolist() == ["zero"] * 4
+        assert opnorm_estimate(Z, 2.0) == 0.0
+
+    def test_zero_column(self):
+        A = MatrixOperator(
+            [[1.0, 0.0, 2.0], [3.0, 0.0, -1.0], [0.5, 0.0, 1.0]], build_space((0.5, 1.0, 2.0))
+        )
+        for p in (1.5, 2.0, 3.0):
+            reasons = self.check_against_reference(A, p)
+            assert reasons[2] == "zero"  # the seed e_2 has a zero image
+
+    def test_single_step(self):
+        for A in criterion_4_ensemble(step=50):
+            for p in (1.5, 2.0, 3.0):
+                reasons = self.check_against_reference(A, p, max_iter=1)
+                assert set(reasons.tolist()) <= {"max_iter", "stationary", "zero"}
 
 
 class TestPinch:
