@@ -25,9 +25,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -48,9 +50,10 @@ from .operators import (
     FunctionKernel,
     MatrixOperator,
     MultiplicationOperator,
+    _pinched,
+    _weighted_abs_colsums,
     mult_op,
     opnorm_p1,
-    pinch,
     rank_one_diffuse,
 )
 
@@ -84,6 +87,15 @@ CSV_HEADER = ("parameter", "computed", "certified_bound", "formula", "residual")
 MAX_LEVEL = 16
 # a random_dense perturbation is an n x n array, 128 MB at 2**12 cells
 DENSE_MAX_LEVEL = 12
+# trial scenarios draw dense n x n matrices, capped like random_dense
+MAX_RANDOM_DIMENSION = 2**DENSE_MAX_LEVEL
+# trial scenarios run in stacks whose arrays hold at most this many floats
+# each (32 kB), so the stack shrinks as the dimension grows
+_STACK_ENTRIES = 4096
+# lattice_oracle checks the modulus on 3 x 3 operators against a grid of
+# 5 points per coordinate
+_MODULUS_DIM = 3
+_GRID_STEPS = 5
 
 
 class ConfigError(ValueError):
@@ -230,8 +242,12 @@ def _parse_space(value: Any, path: str) -> dict:
             raise ConfigError(f"{path}.random", "expected an object")
         _check_keys(rnd, ("dimension", "mass_low", "mass_high"), f"{path}.random")
         dim = _as_int(_req(rnd, "dimension", f"{path}.random"), f"{path}.random.dimension")
-        if dim < 1:
-            raise ConfigError(f"{path}.random.dimension", "dimension must be >= 1")
+        if not 1 <= dim <= MAX_RANDOM_DIMENSION:
+            raise ConfigError(
+                f"{path}.random.dimension",
+                f"dimension must lie in [1, {MAX_RANDOM_DIMENSION}], got {dim}: "
+                "every trial draws a dense dimension x dimension matrix",
+            )
         parsed = {"dimension": dim}
         if "mass_low" in rnd or "mass_high" in rnd:
             lo = _as_float(rnd.get("mass_low", 0.1), f"{path}.random.mass_low")
@@ -649,32 +665,53 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
     return ScenarioResult(cfg.scenario, rows, checks)
 
 
+def _stack_size(entries_per_trial: int) -> int:
+    """Trials per stack: each array of a stack holds at most _STACK_ENTRIES
+    floats, or one trial when a trial alone takes more."""
+    return max(1, _STACK_ENTRIES // entries_per_trial)
+
+
+def _p1_norms(stack: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Exact L1 norms of a (trials, n, n) stack over masses (trials, n).
+
+    Computed as opnorm_p1 computes each one, column sums added top to
+    bottom; the stack is scratch and is overwritten.
+    """
+    return np.max(_weighted_abs_colsums(stack, mu) / mu, axis=-1)
+
+
 def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     rnd = cfg.space["random"]
     dim = rnd["dimension"]
     lo = rnd.get("mass_low", 0.1)
     hi = rnd.get("mass_high", 2.0)
-
-    def trial(t: int) -> tuple[float, float]:
-        rng = _trial_rng(cfg.seed, t)
-        masses = rng.uniform(lo, hi, dim)
-        entries = rng.uniform(-1.0, 1.0, (dim, dim))
-        space = build_space(masses)
-        A = MatrixOperator(entries, space)
-        full = opnorm_p1(A)
-        worst = opnorm_p1(pinch(A, [[i] for i in range(dim)]))
+    size = _stack_size(dim * dim)
+    masses = np.empty((size, dim))
+    entries = np.empty((size, dim, dim))
+    assign = np.empty((size, dim), dtype=np.int64)
+    worst: list[float] = []
+    full: list[float] = []
+    for start in range(0, cfg.trials, size):
+        k = min(size, cfg.trials - start)
+        for i in range(k):
+            rng = _trial_rng(cfg.seed, start + i)
+            masses[i] = rng.uniform(lo, hi, dim)
+            entries[i] = rng.uniform(-1.0, 1.0, (dim, dim))
+            if dim >= 2:
+                # two nonempty blocks: redraw an assignment that puts every
+                # coordinate in one block
+                a = rng.integers(0, 2, dim)
+                while a.all() or not a.any():
+                    a = rng.integers(0, 2, dim)
+                assign[i] = a
+        mu, A = masses[:k], entries[:k]
+        # the diagonal pinch, then the two-block pinch of the assignment
+        pinched = _p1_norms(_pinched(A, np.arange(dim)), mu)
         if dim >= 2:
-            assign = rng.integers(0, 2, dim)
-            while assign.all() or not assign.any():
-                assign = rng.integers(0, 2, dim)
-            blocks = [
-                np.nonzero(assign == 0)[0].tolist(),
-                np.nonzero(assign == 1)[0].tolist(),
-            ]
-            worst = max(worst, opnorm_p1(pinch(A, blocks)))
-        return worst, full
-
-    rows = [_make_row(t, *trial(t)) for t in range(cfg.trials)]
+            pinched = np.maximum(pinched, _p1_norms(_pinched(A, assign[:k]), mu))
+        worst += pinched.tolist()
+        full += _p1_norms(A, mu).tolist()
+    rows = [_make_row(t, w, f) for t, (w, f) in enumerate(zip(worst, full))]
     violations = sum(1 for r in rows if r.computed > r.certified)
     checks = [
         Check(
@@ -757,42 +794,66 @@ def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray, n_grid: int = 21) -> 
     For a coordinate indicator, any split g + h = f with g, h >= 0 is a
     one-parameter family g = t f, so the defining sup/inf of join/meet
     reduces to extremizing t S[:, j] + (1 - t) T[:, j] over t in [0, 1].
+    S and T may be stacks; the extrema are taken one grid point at a time.
     """
-    ts = np.linspace(0.0, 1.0, n_grid)
-    cand = ts[None, None, :] * S[:, :, None] + (1.0 - ts[None, None, :]) * T[:, :, None]
-    return cand.max(axis=2), cand.min(axis=2)
+    hi = np.full(S.shape, -np.inf)
+    lo = np.full(S.shape, np.inf)
+    for t in np.linspace(0.0, 1.0, n_grid):
+        cand = t * S + (1.0 - t) * T
+        np.maximum(hi, cand, out=hi)
+        np.minimum(lo, cand, out=lo)
+    return hi, lo
 
 
-def _modulus_grid_oracle(S: np.ndarray, steps: int = 5) -> np.ndarray:
-    """sup over a grid of |g| <= 1 of |S g|, coordinatewise (f = all-ones)."""
-    n = S.shape[1]
-    axes = [np.linspace(-1.0, 1.0, steps)] * n
+def _modulus_grid_oracle(S: np.ndarray) -> np.ndarray:
+    """sup over a grid of |g| <= 1 of |S g|, coordinatewise (f = all-ones).
+
+    S may be a stack; the grid has _GRID_STEPS points per coordinate.
+    """
+    n = S.shape[-1]
+    axes = [np.linspace(-1.0, 1.0, _GRID_STEPS)] * n
     grids = np.meshgrid(*axes, indexing="ij")
     gs = np.stack([g.ravel() for g in grids], axis=0)  # n x steps^n
-    return np.max(np.abs(S @ gs), axis=1)
+    image = S @ gs
+    return np.max(np.abs(image, out=image), axis=-1)
+
+
+def _max_abs_diff(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """max |X - Y| over the last two axes."""
+    return np.max(np.abs(X - Y), axis=(-2, -1))
 
 
 def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     dim = cfg.space["random"]["dimension"]
-
-    def trial(t: int) -> tuple[float, float]:
-        rng = _trial_rng(cfg.seed, t)
-        space = build_space(np.ones(dim))
-        S = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), space)
-        T = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), space)
-        oj, om = _one_parameter_join_meet(S.entries, T.entries)
-        dev_jm = max(
-            float(np.max(np.abs(join(S, T).entries - oj))),
-            float(np.max(np.abs(meet(S, T).entries - om))),
-        )
-        small_space = build_space(np.ones(3))
-        Sm = MatrixOperator(rng.uniform(-1.0, 1.0, (3, 3)), small_space)
-        applied = modulus(Sm).matvec(np.ones(3))
-        dev_mod = float(np.max(np.abs(_modulus_grid_oracle(Sm.entries) - applied)))
-        return dev_jm, dev_mod
+    space = build_space(np.ones(dim))
+    small_space = build_space(np.ones(_MODULUS_DIM))
+    # a trial's largest arrays: S, T, their join and meet (dim x dim each),
+    # and the image of the modulus grid
+    size = _stack_size(max(dim * dim, _MODULUS_DIM * _GRID_STEPS**_MODULUS_DIM))
+    S, T, J, M = (np.empty((size, dim, dim)) for _ in range(4))
+    Sm = np.empty((size, _MODULUS_DIM, _MODULUS_DIM))
+    applied = np.empty((size, _MODULUS_DIM))
+    ones = np.ones(_MODULUS_DIM)
+    dev_jm: list[float] = []
+    dev_mod: list[float] = []
+    for start in range(0, cfg.trials, size):
+        k = min(size, cfg.trials - start)
+        for i in range(k):
+            rng = _trial_rng(cfg.seed, start + i)
+            S[i] = rng.uniform(-1.0, 1.0, (dim, dim))
+            T[i] = rng.uniform(-1.0, 1.0, (dim, dim))
+            Sm[i] = rng.uniform(-1.0, 1.0, (_MODULUS_DIM, _MODULUS_DIM))
+            # the library operations under test, one trial at a time
+            St, Tt = MatrixOperator(S[i], space), MatrixOperator(T[i], space)
+            J[i] = join(St, Tt).entries
+            M[i] = meet(St, Tt).entries
+            applied[i] = modulus(MatrixOperator(Sm[i], small_space)).matvec(ones)
+        oj, om = _one_parameter_join_meet(S[:k], T[:k])
+        dev_jm += np.maximum(_max_abs_diff(J[:k], oj), _max_abs_diff(M[:k], om)).tolist()
+        dev_mod += np.max(np.abs(_modulus_grid_oracle(Sm[:k]) - applied[:k]), axis=-1).tolist()
 
     # computed column: join/meet deviation; certified column: modulus deviation
-    rows = [_make_row(t, *trial(t), 0.0) for t in range(cfg.trials)]
+    rows = [_make_row(t, jm, mod, 0.0) for t, (jm, mod) in enumerate(zip(dev_jm, dev_mod))]
     worst_jm = max((r.computed for r in rows), default=0.0)
     worst_mod = max((r.certified for r in rows), default=0.0)
     checks = [
@@ -832,10 +893,30 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.12g}"
 
 
+@contextmanager
+def _atomic_open(path: Path) -> Iterator[TextIO]:
+    """Open a temporary file that replaces path once written in full.
+
+    The file appears under its name complete or not at all: the temporary
+    file, in the same directory, is renamed over path in one step after a
+    clean close and removed if writing fails.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def emit(result: ScenarioResult, out_dir: str | Path, config: ExperimentConfig | None = None) -> list[Path]:
     """Write the CSV table and the sidecar report; returns the paths.
 
-    Reruns with the same config produce byte-identical files.
+    Reruns with the same config produce byte-identical files.  Each file
+    is written to a temporary file and then renamed, so a failure leaves
+    no partial file behind.
     """
     out = Path(out_dir)
     try:
@@ -843,7 +924,7 @@ def emit(result: ScenarioResult, out_dir: str | Path, config: ExperimentConfig |
         paths = []
 
         csv_path = out / f"{result.scenario}.csv"
-        with open(csv_path, "w", newline="") as fh:
+        with _atomic_open(csv_path) as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
             for row in result.rows:
@@ -864,12 +945,14 @@ def emit(result: ScenarioResult, out_dir: str | Path, config: ExperimentConfig |
             suffix = f" ({check.detail})" if check.detail else ""
             lines.append(f"check {check.name}: {status}{suffix}")
         lines.append(f"result: {'PASS' if result.passed else 'FAIL'}")
-        report_path.write_text("\n".join(lines) + "\n")
+        with _atomic_open(report_path) as fh:
+            fh.write("\n".join(lines) + "\n")
         paths.append(report_path)
 
         if config is not None:
             config_path = out / f"{result.scenario}.config.json"
-            config_path.write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+            with _atomic_open(config_path) as fh:
+                fh.write(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
             paths.append(config_path)
         return paths
     except OSError as e:

@@ -329,11 +329,20 @@ def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
         return np.abs(d) * mu / mu
     colsums = np.empty(A.dimension)
     for start, stop, block in _column_blocks(A):
-        # a built block is scratch; kept entries are read-only
-        weighted = np.abs(block, out=block if block.flags.writeable else None, order="C")
-        weighted *= mu[:, None]
-        colsums[start:stop] = np.add.reduce(weighted, axis=0)
+        colsums[start:stop] = _weighted_abs_colsums(block, mu)
     return colsums / mu
+
+
+def _weighted_abs_colsums(block: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Column sums sum_i |block[..., i, j]| mu[..., i] of a block or a stack.
+
+    The rows are added top to bottom: numpy adds the rows of a C-contiguous
+    array of two or more columns one after another.  A writable block is
+    scratch and is overwritten; a read-only one (kept entries) is copied.
+    """
+    weighted = np.abs(block, out=block if block.flags.writeable else None, order="C")
+    weighted *= mu[..., :, None]
+    return np.add.reduce(weighted, axis=-2)
 
 
 def opnorm_p1(A: MatrixOperator) -> float:
@@ -459,8 +468,16 @@ def pinch(A: MatrixOperator, blocks: Sequence[Sequence[int]]) -> MatrixOperator:
     if np.any(block_id == -1):
         missing = np.nonzero(block_id == -1)[0].tolist()
         raise ValueError(f"blocks do not cover indices {missing}")
-    keep = block_id[:, None] == block_id[None, :]
-    return MatrixOperator(np.where(keep, A.entries, 0.0), A.space)
+    return MatrixOperator(_pinched(A.entries, block_id), A.space)
+
+
+def _pinched(entries: np.ndarray, block_id: np.ndarray) -> np.ndarray:
+    """Entries (or a stack of them) with every cross-block entry zeroed.
+
+    ``block_id[..., i]`` is the block of coordinate i; kept entries are
+    copied unchanged.
+    """
+    return np.where(block_id[..., :, None] == block_id[..., None, :], entries, 0.0)
 
 
 def projections(

@@ -1,20 +1,27 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from essnorm_lab import experiments
 from essnorm_lab.cli import main
 from essnorm_lab.experiments import (
     SCENARIOS,
     Check,
     ConfigError,
     MAX_LEVEL,
+    MAX_RANDOM_DIMENSION,
     ExperimentConfig,
     Row,
     ScenarioResult,
+    _stack_size,
     emit,
     run_scenario,
 )
+from essnorm_lab.lattice import join, meet, modulus
+from essnorm_lab.measure import build_space
+from essnorm_lab.operators import MatrixOperator, _weighted_abs_colsums, opnorm_p1, pinch
 
 
 def atomic_limsup_config(n=50, kmax=20):
@@ -136,6 +143,12 @@ class TestConfigParsing:
         cfg = diffuse_witness_config()
         cfg["levels"] = [MAX_LEVEL, MAX_LEVEL]
         assert ExperimentConfig.from_dict(cfg).levels == (MAX_LEVEL, MAX_LEVEL)
+
+    def test_random_dimension_capped(self):
+        cfg = trial_config("pinching_suite", MAX_RANDOM_DIMENSION + 1, 1, 0)
+        with pytest.raises(ConfigError, match=r"space\.random\.dimension.*dense"):
+            ExperimentConfig.from_dict(cfg)
+        ExperimentConfig.from_dict(trial_config("pinching_suite", MAX_RANDOM_DIMENSION, 1, 0))
 
     def test_bad_tail_kind_path(self):
         cfg = atomic_limsup_config()
@@ -287,6 +300,49 @@ class TestEmit:
         text = (tmp_path / "qn_decay.csv").read_text()
         assert "0.333333333333" in text
 
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, failing):
+        cfg = ExperimentConfig.from_dict(qn_decay_config())
+        result = run_scenario(cfg)
+        paths = emit(result, tmp_path, cfg)
+        before = {p: p.read_bytes() for p in paths}
+        # a second result with other rows and checks, whose failing-th file
+        # breaks off after half its text
+        changed = ScenarioResult(result.scenario, result.rows[:5], [Check("other", False)])
+        real_open = open
+        opened = []
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        def failing_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            opened.append(file)
+            return HalfWriter(fh) if len(opened) == failing + 1 else fh
+
+        monkeypatch.setattr(experiments, "open", failing_open, raising=False)
+        with pytest.raises(RuntimeError, match="failed to write results under"):
+            emit(changed, tmp_path, cfg)
+        monkeypatch.undo()
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+        # files before the failing one are new, the failing one and those
+        # after it are exactly as the first emit left them
+        for i, path in enumerate(paths):
+            assert (path.read_bytes() == before[path]) == (i >= failing)
+        assert emit(result, tmp_path, cfg) == paths
+        assert {p: p.read_bytes() for p in paths} == before
+
     def test_config_echo_round_trips(self, tmp_path):
         cfg = ExperimentConfig.from_dict(qn_decay_config())
         emit(run_scenario(cfg), tmp_path, cfg)
@@ -328,6 +384,23 @@ class TestCli:
         result = CliRunner().invoke(main, ["validate", "--config", str(path)])
         assert result.exit_code == 2
         assert "OK" not in result.output
+
+    @pytest.mark.parametrize("scenario", ["pinching_suite", "lattice_oracle"])
+    def test_oversized_random_space_exit_2(self, tmp_path, scenario):
+        # 4097 x 4097 entries per trial are refused before any draw
+        assert MAX_RANDOM_DIMENSION == 4096
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(trial_config(scenario, 4097, 1, 0)))
+        for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+            result = CliRunner().invoke(main, [*command, "--config", str(path)])
+            assert result.exit_code == 2
+            assert "space.random.dimension" in result.output
+            assert "OK" not in result.output
+        assert not (tmp_path / "out").exists()
+        path.write_text(json.dumps(trial_config(scenario, 4096, 1, 0)))
+        result = CliRunner().invoke(main, ["validate", "--config", str(path)])
+        assert result.exit_code == 0
+        assert f"OK: {scenario}" in result.output
 
     def test_validate_missing_file_exit_2(self, tmp_path):
         runner = CliRunner()
@@ -405,19 +478,120 @@ class TestCli:
         assert "result: FAIL" in (out / "qn_decay.report.txt").read_text()
 
 
+def trial_config(scenario, dim, trials, seed):
+    random = {"dimension": dim}
+    if scenario == "pinching_suite":
+        random.update(mass_low=0.1, mass_high=2.0)
+    return {"scenario": scenario, "space": {"random": random}, "trials": trials, "p": 1.0, "seed": seed}
+
+
+def per_trial_pinching(seed, dim, trials):
+    """Rows of pinching_suite computed one trial at a time through pinch."""
+    rows = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        masses = rng.uniform(0.1, 2.0, dim)
+        A = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), build_space(masses))
+        full = opnorm_p1(A)
+        worst = opnorm_p1(pinch(A, [[i] for i in range(dim)]))
+        if dim >= 2:
+            assign = rng.integers(0, 2, dim)
+            while assign.all() or not assign.any():
+                assign = rng.integers(0, 2, dim)
+            blocks = [np.nonzero(assign == 0)[0].tolist(), np.nonzero(assign == 1)[0].tolist()]
+            worst = max(worst, opnorm_p1(pinch(A, blocks)))
+        rows.append(Row(float(t), worst, full, None, None))
+    return rows
+
+
+def per_trial_lattice(seed, dim, trials):
+    """Rows of lattice_oracle computed one trial at a time, oracles included."""
+    ts = np.linspace(0.0, 1.0, 21)
+    axes = [np.linspace(-1.0, 1.0, 5)] * 3
+    gs = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=0)
+    rows = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        space = build_space(np.ones(dim))
+        S = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), space)
+        T = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), space)
+        cand = ts[None, None, :] * S.entries[:, :, None] + (1.0 - ts[None, None, :]) * T.entries[:, :, None]
+        dev_jm = max(
+            float(np.max(np.abs(join(S, T).entries - cand.max(axis=2)))),
+            float(np.max(np.abs(meet(S, T).entries - cand.min(axis=2)))),
+        )
+        Sm = MatrixOperator(rng.uniform(-1.0, 1.0, (3, 3)), build_space(np.ones(3)))
+        oracle = np.max(np.abs(Sm.entries @ gs), axis=1)
+        dev_mod = float(np.max(np.abs(oracle - modulus(Sm).matvec(np.ones(3)))))
+        rows.append(Row(float(t), dev_jm, dev_mod, 0.0, abs(dev_jm - 0.0)))
+    return rows
+
+
+PER_TRIAL = {"pinching_suite": per_trial_pinching, "lattice_oracle": per_trial_lattice}
+
+
+def stack_size(scenario, dim):
+    # a lattice trial also holds the 3 x 125 image of its modulus grid
+    return _stack_size(dim * dim if scenario == "pinching_suite" else max(dim * dim, 375))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
 class TestTrialScenarios:
     @pytest.mark.parametrize("scenario", ["pinching_suite", "lattice_oracle"])
     def test_rerun_gives_equal_rows(self, scenario):
-        cfg = ExperimentConfig.from_dict(
-            {
-                "scenario": scenario,
-                "space": {"random": {"dimension": 5}},
-                "trials": 40,
-                "p": 1.0,
-                "seed": 9,
-            }
-        )
+        cfg = ExperimentConfig.from_dict(trial_config(scenario, 5, 40, 9))
         first = run_scenario(cfg)
         second = run_scenario(cfg)
         assert [int(r.param) for r in first.rows] == list(range(40))
         assert first.rows == second.rows
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64, 65, 129])
+    @pytest.mark.parametrize("scenario", ["pinching_suite", "lattice_oracle"])
+    def test_stacks_match_per_trial_runner(self, scenario, dim, monkeypatch):
+        # one trial, exactly one stack, and one trial into a second stack;
+        # a spy on a function called once per stack (the pinching suite
+        # takes the norms of the diagonal pinch, the two-block pinch when
+        # dim >= 2, and the operator) records the stacks actually run
+        size = stack_size(scenario, dim)
+        reference = PER_TRIAL[scenario](31, dim, size + 1)
+        if scenario == "lattice_oracle":
+            name, per_stack = "_one_parameter_join_meet", 1
+        else:
+            name, per_stack = "_p1_norms", 3 if dim >= 2 else 2
+        stacks = []
+        real = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda X, *args: stacks.append(len(X)) or real(X, *args))
+        for trials in sorted({1, size, size + 1}):
+            stacks.clear()
+            result = run_scenario(ExperimentConfig.from_dict(trial_config(scenario, dim, trials, 31)))
+            assert stacks[::per_stack] == [min(trials, size)] + [1] * (trials > size)
+            assert list(map(repr, result.rows)) == list(map(repr, reference[:trials]))
+            assert result.passed
+
+    def test_ensemble_configs_match_per_trial_runner(self):
+        # the shipped sizes over several stacks: 1000 pinching trials of
+        # dimension 8, 500 lattice trials of dimension 5
+        for scenario, dim, trials in (("pinching_suite", 8, 1000), ("lattice_oracle", 5, 500)):
+            for seed in (20101, 47):
+                result = run_scenario(ExperimentConfig.from_dict(trial_config(scenario, dim, trials, seed)))
+                assert list(map(repr, result.rows)) == list(map(repr, PER_TRIAL[scenario](seed, dim, trials)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 63, 64, 65, 66, 129])
+    def test_stacked_column_sums_match_cumsum(self, dim):
+        # the stacked reduction adds the rows of each column top to bottom,
+        # as opnorm_p1 does on one operator
+        rng = np.random.default_rng(dim)
+        k = stack_size("pinching_suite", dim) + 1
+        mu = rng.uniform(0.1, 2.0, (k, dim))
+        stack = rng.uniform(-1.0, 1.0, (k, dim, dim))
+        expected = np.cumsum(np.abs(stack) * mu[:, :, None], axis=-2)[..., -1, :]
+        kept = stack.copy()
+        kept.setflags(write=False)
+        np.testing.assert_array_equal(bits(_weighted_abs_colsums(kept, mu)), bits(expected))
+        np.testing.assert_array_equal(bits(_weighted_abs_colsums(stack, mu)), bits(expected))
+        for t in range(k):
+            A = MatrixOperator(kept[t], build_space(mu[t]))
+            assert opnorm_p1(A) == float(np.max(expected[t] / mu[t]))
