@@ -24,7 +24,7 @@ from .lattice import (
     regular_norm,
 )
 from .lpspace import StepFunction, from_standard, norm_p, normalized_indicator, to_standard
-from .measure import MeasureSpace, TailDescriptor, build_space, limsup_abs, refine
+from .measure import MeasureSpace, TailDescriptor, build_space
 from .operators import (
     FunctionKernel,
     MatrixOperator,
@@ -59,7 +59,6 @@ __all__ = [
     "essential_norm",
     "from_standard",
     "join",
-    "limsup_abs",
     "meet",
     "modulus",
     "mult_op",
@@ -74,7 +73,6 @@ __all__ = [
     "qn_decay_profile",
     "rank_one_atomic_offdiag",
     "rank_one_diffuse",
-    "refine",
     "regular_norm",
     "to_standard",
     "truncation_perturbation",

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (all scenario assertions passed), 1 assertion
 failure or unwritable output, 2 configuration error, 3 internal error (any
-other exception raised while running, a fault of the library rather than of
-the config).
+other exception raised while validating or running, a fault of the library
+rather than of the config).
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -28,6 +30,20 @@ def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+@contextmanager
+def _exit_on_error() -> Iterator[None]:
+    """Exit 2 on a ConfigError and 3, with the traceback, on any other exception."""
+    try:
+        yield
+    except ConfigError as e:
+        click.echo(f"config error: {e}", err=True)
+        sys.exit(2)
+    except Exception as e:
+        click.echo(traceback.format_exc(), err=True)
+        click.echo(f"internal error: {type(e).__name__}: {e}", err=True)
+        sys.exit(3)
+
+
 @click.group()
 def main():
     """Experiments on essential norms of multiplication operators."""
@@ -38,16 +54,9 @@ def main():
 @click.option("--out", "out_dir", required=True, type=click.Path(), help="Output directory.")
 def run(config_path: str, out_dir: str):
     """Run a scenario and write CSV + report into the output directory."""
-    try:
+    with _exit_on_error():
         config = _load_config(config_path)
         result = run_scenario(config)
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
-    except Exception as e:
-        click.echo(traceback.format_exc(), err=True)
-        click.echo(f"internal error: {type(e).__name__}: {e}", err=True)
-        sys.exit(3)
     try:
         paths = emit(result, out_dir, config)
     except RuntimeError as e:
@@ -65,11 +74,8 @@ def run(config_path: str, out_dir: str):
 @click.option("--config", "config_path", required=True, type=click.Path(), help="Scenario config (JSON).")
 def validate(config_path: str):
     """Parse and validate a config without running it."""
-    try:
+    with _exit_on_error():
         config = _load_config(config_path)
-    except ConfigError as e:
-        click.echo(f"config error: {e}", err=True)
-        sys.exit(2)
     click.echo(f"OK: {config.scenario}")
 
 

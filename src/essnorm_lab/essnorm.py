@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .lpspace import StepFunction, norm_p, normalized_indicator
-from .measure import MeasureSpace, TailDescriptor, limsup_abs
+from .measure import MeasureSpace, TailDescriptor
 from .operators import (
     MatrixOperator,
     MultiplicationOperator,
@@ -127,7 +127,7 @@ def essential_norm(problem: EssNormProblem) -> float:
     prefixes, and at desk scale every stored coordinate can be cancelled by
     a finite-rank perturbation.
     """
-    atomic_term = limsup_abs(problem.u_tail, problem.u_atom_values)
+    atomic_term = problem.u_tail.limsup_abs()
     if not problem.space.has_diffuse:
         return atomic_term
     diffuse_term = float(np.max(np.abs(problem.u_diffuse)))

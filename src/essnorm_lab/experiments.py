@@ -8,6 +8,10 @@ output files.
 
 Scenarios
 ---------
+Each scenario is one entry of ``_SCENARIOS``, which lists the fields it
+reads.  A config that sets any other field, or a size beyond the limits
+below, is refused before anything is allocated.
+
 ``atomic_limsup``        best rank-k diagonal cancellation vs. the tail limsup
 ``diffuse_witness``      certified witness lower bounds across refinement levels
 ``pinching_suite``       block-compression contractivity on random operators
@@ -29,7 +33,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -45,7 +49,8 @@ from .essnorm import (
 )
 from .lattice import centre_decay_under_refinement, join, meet, modulus
 from .lpspace import StepFunction
-from .measure import MeasureSpace, TailDescriptor, build_space
+from .measure import _TAIL_KINDS as _TAIL_PARAMS
+from .measure import TailDescriptor, build_space
 from .operators import (
     FunctionKernel,
     MatrixOperator,
@@ -68,17 +73,7 @@ __all__ = [
     "emit",
 ]
 
-SCENARIOS = (
-    "atomic_limsup",
-    "diffuse_witness",
-    "pinching_suite",
-    "rankone_centre_decay",
-    "qn_decay",
-    "lattice_oracle",
-)
-
-_PERTURBATION_KINDS = ("none", "random_dense", "rank_one", "truncation")
-_FN_KINDS = ("identity", "constant", "poly", "values", "geometric_tail")
+_COMMON_FIELDS = ("scenario", "p", "seed", "perturbation")
 
 CSV_HEADER = ("parameter", "computed", "certified_bound", "formula", "residual")
 
@@ -87,8 +82,20 @@ CSV_HEADER = ("parameter", "computed", "certified_bound", "formula", "residual")
 MAX_LEVEL = 16
 # a random_dense perturbation is an n x n array, 128 MB at 2**12 cells
 DENSE_MAX_LEVEL = 12
-# trial scenarios draw dense n x n matrices, capped like random_dense
+# the trial scenarios draw dense n x n matrices and qn_decay builds them over
+# its atoms; both cap n like random_dense
 MAX_RANDOM_DIMENSION = 2**DENSE_MAX_LEVEL
+# an atomic space holds its masses and the symbol's atom values as lists and
+# vectors of one float per atom: 8 MB each at 2**20 atoms
+MAX_ATOMS = 2**20
+# a run holds one Row per trial or swept k, about 300 bytes each, until it
+# emits them: 2**18 rows take about 75 MB
+MAX_ROWS = 2**18
+# the trial scenarios draw trials x dimension**2 entries and spend 35-80 ns
+# on each (measured on a 2-vCPU VM), so a run stays within 10-20 s
+MAX_TRIAL_ENTRIES = 2**28
+# a rank-r kernel holds two n x r factors: 64 MB at level 16 and rank 64
+MAX_RANK = 64
 # trial scenarios run in stacks whose arrays hold at most this many floats
 # each (32 kB), so the stack shrinks as the dimension grows
 _STACK_ENTRIES = 4096
@@ -118,6 +125,13 @@ def _req(d: dict, key: str, path: str) -> Any:
     return d[key]
 
 
+def _check_keys(d: dict, allowed: Iterable[str], path: str) -> None:
+    allowed = sorted(allowed)
+    for key in d:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}", f"unknown field; expected one of {allowed}")
+
+
 def _as_float(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
@@ -128,6 +142,20 @@ def _as_float(value: Any, path: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     return x
+
+
+def _as_positive(value: Any, path: str) -> float:
+    x = _as_float(value, path)
+    if x <= 0:
+        raise ConfigError(path, f"must be positive, got {x}")
+    return x
+
+
+def _as_p(value: Any, path: str) -> float:
+    p = _as_float(value, path)
+    if p < 1.0:
+        raise ConfigError(path, f"p must be >= 1, got {p}")
+    return p
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -142,186 +170,182 @@ def _as_float_list(value: Any, path: str) -> list[float]:
     return [_as_float(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _as_pair(value: Any, path: str) -> tuple[int, int]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(path, f"expected a pair [lo, hi], got {value!r}")
-    lo = _as_int(value[0], f"{path}[0]")
-    hi = _as_int(value[1], f"{path}[1]")
-    if hi < lo:
-        raise ConfigError(path, f"range is empty: [{lo}, {hi}]")
-    return lo, hi
+def _as_coeffs(value: Any, path: str) -> list[float]:
+    coeffs = _as_float_list(value, path)
+    if not coeffs:
+        raise ConfigError(path, "a polynomial needs at least one coefficient")
+    return coeffs
 
 
-def _as_levels(value: Any, path: str) -> tuple[int, int]:
-    lo, hi = _as_pair(value, path)
-    if lo < 0 or hi > MAX_LEVEL:
-        raise ConfigError(path, f"levels must lie in [0, {MAX_LEVEL}], got [{lo}, {hi}]")
-    return lo, hi
+def _int_in(lo: int, hi: float = math.inf, why: str = "") -> Callable[[Any, str], int]:
+    """Parser of an integer in [lo, hi]; ``why`` gives the reason for hi."""
+
+    def parse(value: Any, path: str) -> int:
+        n = _as_int(value, path)
+        if not lo <= n <= hi:
+            reason = f": {why}" if why else ""
+            raise ConfigError(path, f"must lie in [{lo}, {hi}], got {n}{reason}")
+        return n
+
+    return parse
 
 
-def _check_keys(d: dict, allowed: Sequence[str], path: str) -> None:
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown field")
+def _sweep_in(lo: int, hi: float = math.inf) -> Callable[[Any, str], tuple[int, int]]:
+    """Parser of a sweep [first, last] inside [lo, hi], one row per point."""
+
+    def parse(value: Any, path: str) -> tuple[int, int]:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(path, f"expected a pair [first, last], got {value!r}")
+        first, last = (_as_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+        if last < first:
+            raise ConfigError(path, f"range is empty: [{first}, {last}]")
+        if first < lo or last > hi:
+            raise ConfigError(path, f"{path} must lie in [{lo}, {hi}], got [{first}, {last}]")
+        if last - first >= MAX_ROWS:
+            raise ConfigError(path, f"{path} sweeps more than {MAX_ROWS} points, one row each")
+        return first, last
+
+    return parse
+
+
+def _parse_members(
+    value: Any, path: str, members: dict[str, Callable], required: Sequence[str] = ()
+) -> dict:
+    """Parse an object whose member ``name`` is parsed by ``members[name]``."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, "expected an object")
+    _check_keys(value, members, path)
+    for name in required:
+        _req(value, name, path)
+    return {name: parse(value[name], f"{path}.{name}") for name, parse in members.items() if name in value}
+
+
+# fields of a kind-tagged object that may be left out, with their values
+_KIND_DEFAULTS = {"scale": 1.0, "params": []}
+
+
+def _parse_kind(value: Any, path: str, kinds: dict[str, dict[str, Callable]]) -> dict:
+    """Parse ``{"kind": k, ...}`` whose other fields are parsed by ``kinds[k]``."""
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ConfigError(path, "expected an object with a 'kind' field")
+    kind = value["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected one of {tuple(kinds)}")
+    fields = kinds[kind]
+    defaults = {name: _KIND_DEFAULTS[name] for name in fields if name in _KIND_DEFAULTS}
+    return _parse_members({**defaults, **value}, path, {"kind": lambda k, _: k, **fields}, tuple(fields))
+
+
+_seed = _int_in(0)
+
+_FN_KINDS = {
+    "identity": {},
+    "constant": {"value": _as_float},
+    "poly": {"coeffs": _as_coeffs},
+    "values": {"values": _as_float_list},
+    # 2^-1 .. 2^-count plus one closing coordinate 2^-count, so every tail
+    # sum equals the infinite geometric value exactly
+    "geometric_tail": {"count": _int_in(1)},
+}
+# the kinds that define a function of the interval variable, and those that
+# define a coordinate vector over the atoms
+_FUNCTION_KINDS = ("identity", "constant", "poly")
+_VECTOR_KINDS = ("constant", "values", "geometric_tail")
+_PERTURBATION_KINDS = {
+    "none": {},
+    "random_dense": {"seed": _seed},
+    "rank_one": {"rank": _int_in(1, MAX_RANK, "the kernel holds two n x rank factors"), "seed": _seed},
+    "truncation": {"cutoff": _int_in(0)},
+}
+_FORMULA_KINDS = {
+    "power": {"base": _as_float, "scale": _as_float},
+    "constant": {"value": _as_float},
+}
+_TAIL_KINDS = {kind: {"params": _as_float_list} for kind in _TAIL_PARAMS}
+
+
+def _parse_fn(value: Any, path: str) -> dict:
+    return _parse_kind(value, path, _FN_KINDS)
 
 
 def _parse_tail(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, "expected an object with 'kind' and 'params'")
-    _check_keys(value, ("kind", "params"), path)
-    kind = _req(value, "kind", path)
-    params = _as_float_list(value.get("params", []), f"{path}.params")
+    tail = _parse_kind(value, path, _TAIL_KINDS)
     try:
-        TailDescriptor(kind, tuple(params))
+        TailDescriptor(tail["kind"], tuple(tail["params"]))
     except ValueError as e:
         raise ConfigError(path, str(e)) from None
-    return {"kind": kind, "params": params}
+    return tail
 
 
-def _parse_fnspec(value: Any, path: str) -> dict:
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError(path, "expected an object with a 'kind' field")
-    kind = value["kind"]
-    if kind not in _FN_KINDS:
-        raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected one of {_FN_KINDS}")
-    if kind == "identity":
-        _check_keys(value, ("kind",), path)
-        return {"kind": kind}
-    if kind == "constant":
-        _check_keys(value, ("kind", "value"), path)
-        return {"kind": kind, "value": _as_float(_req(value, "value", path), f"{path}.value")}
-    if kind == "poly":
-        _check_keys(value, ("kind", "coeffs"), path)
-        return {"kind": kind, "coeffs": _as_float_list(_req(value, "coeffs", path), f"{path}.coeffs")}
-    if kind == "values":
-        _check_keys(value, ("kind", "values"), path)
-        return {"kind": kind, "values": _as_float_list(_req(value, "values", path), f"{path}.values")}
-    # geometric_tail: 2^-1 .. 2^-count plus one closing coordinate 2^-count,
-    # so every tail sum equals the infinite geometric value exactly
-    _check_keys(value, ("kind", "count"), path)
-    count = _as_int(_req(value, "count", path), f"{path}.count")
-    if count < 1:
-        raise ConfigError(f"{path}.count", "count must be >= 1")
-    return {"kind": kind, "count": count}
-
-
-def _parse_space(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, "expected an object")
-    _check_keys(value, ("atom_masses", "tail", "interval", "random"), path)
-    out: dict[str, Any] = {}
-    if "atom_masses" in value:
-        masses = value["atom_masses"]
-        if isinstance(masses, dict):
-            _check_keys(masses, ("value", "count"), f"{path}.atom_masses")
-            v = _as_float(_req(masses, "value", f"{path}.atom_masses"), f"{path}.atom_masses.value")
-            c = _as_int(_req(masses, "count", f"{path}.atom_masses"), f"{path}.atom_masses.count")
-            if c < 1:
-                raise ConfigError(f"{path}.atom_masses.count", "count must be >= 1")
-            masses = [v] * c
-        else:
-            masses = _as_float_list(masses, f"{path}.atom_masses")
-        for i, m in enumerate(masses):
-            if m <= 0:
-                raise ConfigError(f"{path}.atom_masses[{i}]", f"mass must be positive, got {m}")
-        out["atom_masses"] = masses
-    if "tail" in value:
-        out["tail"] = _parse_tail(value["tail"], f"{path}.tail")
-    if "interval" in value:
-        iv = value["interval"]
-        if not isinstance(iv, list) or len(iv) != 2:
-            raise ConfigError(f"{path}.interval", f"expected [a, b], got {iv!r}")
-        a = _as_float(iv[0], f"{path}.interval[0]")
-        b = _as_float(iv[1], f"{path}.interval[1]")
-        if b <= a:
-            raise ConfigError(f"{path}.interval", f"interval must have positive length, got [{a}, {b}]")
-        out["interval"] = [a, b]
-    if "random" in value:
-        rnd = value["random"]
-        if not isinstance(rnd, dict):
-            raise ConfigError(f"{path}.random", "expected an object")
-        _check_keys(rnd, ("dimension", "mass_low", "mass_high"), f"{path}.random")
-        dim = _as_int(_req(rnd, "dimension", f"{path}.random"), f"{path}.random.dimension")
-        if not 1 <= dim <= MAX_RANDOM_DIMENSION:
-            raise ConfigError(
-                f"{path}.random.dimension",
-                f"dimension must lie in [1, {MAX_RANDOM_DIMENSION}], got {dim}: "
-                "every trial draws a dense dimension x dimension matrix",
-            )
-        parsed = {"dimension": dim}
-        if "mass_low" in rnd or "mass_high" in rnd:
-            lo = _as_float(rnd.get("mass_low", 0.1), f"{path}.random.mass_low")
-            hi = _as_float(rnd.get("mass_high", 2.0), f"{path}.random.mass_high")
-            if not 0 < lo <= hi:
-                raise ConfigError(f"{path}.random", f"need 0 < mass_low <= mass_high, got {lo}, {hi}")
-            parsed["mass_low"] = lo
-            parsed["mass_high"] = hi
-        out["random"] = parsed
-    return out
-
-
-def _parse_u(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, "expected an object")
-    _check_keys(value, ("atoms", "diffuse", "tail"), path)
-    out: dict[str, Any] = {}
-    if "atoms" in value:
-        atoms = value["atoms"]
-        if atoms == "from_tail":
-            out["atoms"] = "from_tail"
-        else:
-            out["atoms"] = _as_float_list(atoms, f"{path}.atoms")
-    if "diffuse" in value:
-        out["diffuse"] = _parse_fnspec(value["diffuse"], f"{path}.diffuse")
-    if "tail" in value:
-        out["tail"] = _parse_tail(value["tail"], f"{path}.tail")
-    return out
-
-
-def _parse_perturbation(value: Any, path: str) -> dict:
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError(path, "expected an object with a 'kind' field")
-    kind = value["kind"]
-    if kind not in _PERTURBATION_KINDS:
-        raise ConfigError(
-            f"{path}.kind", f"unknown kind {kind!r}; expected one of {_PERTURBATION_KINDS}"
+def _parse_masses(value: Any, path: str) -> list[float]:
+    if isinstance(value, dict):
+        # the count is bounded before the list is built
+        spec = _parse_members(
+            value, path, {"value": _as_positive, "count": _int_in(1, MAX_ATOMS)}, ("value", "count")
         )
-    if kind == "none":
-        _check_keys(value, ("kind",), path)
-        return {"kind": kind}
-    if kind == "random_dense":
-        _check_keys(value, ("kind", "seed"), path)
-        return {"kind": kind, "seed": _as_int(_req(value, "seed", path), f"{path}.seed")}
-    if kind == "rank_one":
-        _check_keys(value, ("kind", "rank", "seed"), path)
-        rank = _as_int(_req(value, "rank", path), f"{path}.rank")
-        if rank < 1:
-            raise ConfigError(f"{path}.rank", "rank must be >= 1")
-        return {
-            "kind": kind,
-            "rank": rank,
-            "seed": _as_int(_req(value, "seed", path), f"{path}.seed"),
-        }
-    _check_keys(value, ("kind", "cutoff"), path)
-    cutoff = _as_int(_req(value, "cutoff", path), f"{path}.cutoff")
-    if cutoff < 0:
-        raise ConfigError(f"{path}.cutoff", "cutoff must be >= 0")
-    return {"kind": kind, "cutoff": cutoff}
+        return [spec["value"]] * spec["count"]
+    if not isinstance(value, list) or len(value) > MAX_ATOMS:
+        raise ConfigError(path, f"expected a list of at most {MAX_ATOMS} masses")
+    return [_as_positive(m, f"{path}[{i}]") for i, m in enumerate(value)]
 
 
-def _parse_formula(value: Any, path: str) -> dict:
-    if not isinstance(value, dict) or "kind" not in value:
-        raise ConfigError(path, "expected an object with a 'kind' field")
-    kind = value["kind"]
-    if kind == "power":
-        _check_keys(value, ("kind", "base", "scale"), path)
-        base = _as_float(_req(value, "base", path), f"{path}.base")
-        scale = _as_float(value.get("scale", 1.0), f"{path}.scale")
-        return {"kind": kind, "base": base, "scale": scale}
-    if kind == "constant":
-        _check_keys(value, ("kind", "value"), path)
-        return {"kind": kind, "value": _as_float(_req(value, "value", path), f"{path}.value")}
-    raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}; expected 'power' or 'constant'")
+def _parse_interval(value: Any, path: str) -> list[float]:
+    interval = _as_float_list(value, path)
+    if len(interval) != 2 or interval[1] <= interval[0]:
+        raise ConfigError(path, f"expected [a, b] with a < b, got {interval}")
+    return interval
+
+
+def _parse_random(value: Any, path: str) -> dict:
+    members = {
+        "dimension": _int_in(1, MAX_RANDOM_DIMENSION, "every trial draws a dense n x n matrix"),
+        "mass_low": _as_float,
+        "mass_high": _as_float,
+    }
+    rnd = _parse_members(value, path, members, ("dimension",))
+    if "mass_low" in rnd or "mass_high" in rnd:
+        rnd = {"mass_low": 0.1, "mass_high": 2.0, **rnd}
+        if not 0 < rnd["mass_low"] <= rnd["mass_high"]:
+            raise ConfigError(
+                path, f"need 0 < mass_low <= mass_high, got {rnd['mass_low']}, {rnd['mass_high']}"
+            )
+    return rnd
+
+
+_SPACE_MEMBERS = {
+    "atom_masses": _parse_masses,
+    "tail": _parse_tail,
+    "interval": _parse_interval,
+    "random": _parse_random,
+}
+_U_MEMBERS = {
+    "atoms": lambda v, path: v if v == "from_tail" else _as_float_list(v, path),
+    "diffuse": _parse_fn,
+    "tail": _parse_tail,
+}
+
+# top-level config field -> parser of its value
+_FIELDS: dict[str, Callable[[Any, str], Any]] = {
+    "space": lambda v, path: _parse_members(v, path, _SPACE_MEMBERS),
+    "u": lambda v, path: _parse_members(v, path, _U_MEMBERS),
+    "kernel": lambda v, path: _parse_members(v, path, {"eta": _parse_fn, "g": _parse_fn}, ("eta", "g")),
+    "perturbation": lambda v, path: _parse_kind(v, path, _PERTURBATION_KINDS),
+    "p": _as_p,
+    "epsilon": _as_positive,
+    "levels": _sweep_in(0, MAX_LEVEL),
+    "k_range": _sweep_in(0),
+    "n_max": _int_in(0),
+    "trials": _int_in(1, MAX_ROWS, "a run holds one row per trial"),
+    "seed": _seed,
+    "formula": lambda v, path: _parse_kind(v, path, _FORMULA_KINDS),
+}
+
+
+def _lookup(cfg: "ExperimentConfig", path: str) -> Any:
+    """The value at a field path ``name`` or ``name.member``, or None."""
+    name, _, member = path.partition(".")
+    value = getattr(cfg, name)
+    return value.get(member) if member and value is not None else value
 
 
 @dataclass(eq=True)
@@ -346,137 +370,73 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "configuration must be a JSON object")
-        allowed = (
-            "scenario",
-            "space",
-            "u",
-            "kernel",
-            "perturbation",
-            "p",
-            "epsilon",
-            "levels",
-            "k_range",
-            "n_max",
-            "trials",
-            "seed",
-            "formula",
-        )
-        _check_keys(raw, allowed, "<root>")
         scenario = _req(raw, "scenario", "<root>")
         if scenario not in SCENARIOS:
             raise ConfigError(
                 "scenario", f"unknown scenario {scenario!r}; expected one of {SCENARIOS}"
             )
+        entry = _SCENARIOS[scenario]
+        # a scenario takes only the fields it reads, down to space and u members
+        paths = [f.partition(".") for f in (*_COMMON_FIELDS, *entry.requires, *entry.accepts)]
+        _check_keys(raw, {name for name, _, _ in paths}, "<root>")
+        for section in ("space", "u"):
+            if isinstance(raw.get(section), dict):
+                _check_keys(raw[section], {m for name, _, m in paths if name == section}, section)
         cfg = cls(
             scenario=scenario,
-            space=_parse_space(raw["space"], "space") if "space" in raw else None,
-            u=_parse_u(raw["u"], "u") if "u" in raw else None,
-            kernel=_parse_kernel(raw["kernel"], "kernel") if "kernel" in raw else None,
-            perturbation=(
-                _parse_perturbation(raw["perturbation"], "perturbation")
-                if "perturbation" in raw
-                else {"kind": "none"}
-            ),
-            p=_as_float(raw.get("p", 1.0), "p"),
-            epsilon=_as_float(raw["epsilon"], "epsilon") if "epsilon" in raw else None,
-            levels=_as_levels(raw["levels"], "levels") if "levels" in raw else None,
-            k_range=_as_pair(raw["k_range"], "k_range") if "k_range" in raw else None,
-            n_max=_as_int(raw["n_max"], "n_max") if "n_max" in raw else None,
-            trials=_as_int(raw["trials"], "trials") if "trials" in raw else None,
-            seed=_as_int(raw.get("seed", 0), "seed"),
-            formula=_parse_formula(raw["formula"], "formula") if "formula" in raw else None,
+            **{name: _FIELDS[name](value, name) for name, value in raw.items() if name != "scenario"},
         )
-        cfg._validate_scenario()
+        for path in entry.requires:
+            if _lookup(cfg, path) is None:
+                raise ConfigError(path, f"{scenario} needs this field")
+        kind = cfg.perturbation["kind"]
+        if kind not in entry.perturbations:
+            users = tuple(name for name, e in _SCENARIOS.items() if kind in e.perturbations)
+            raise ConfigError(
+                "perturbation.kind",
+                f"{scenario} takes perturbation kinds {entry.perturbations}; {kind!r} is for {users}",
+            )
+        if entry.p_is_one and cfg.p != 1.0:
+            raise ConfigError("p", f"{scenario} computes exact L1 norms; p must be 1")
+        cfg._check_across_fields(entry)
         return cfg
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"scenario": self.scenario}
-        if self.space is not None:
-            out["space"] = json.loads(json.dumps(self.space))
-        if self.u is not None:
-            out["u"] = json.loads(json.dumps(self.u))
-        if self.kernel is not None:
-            out["kernel"] = json.loads(json.dumps(self.kernel))
-        out["perturbation"] = dict(self.perturbation)
-        out["p"] = self.p
-        if self.epsilon is not None:
-            out["epsilon"] = self.epsilon
-        if self.levels is not None:
-            out["levels"] = list(self.levels)
-        if self.k_range is not None:
-            out["k_range"] = list(self.k_range)
-        if self.n_max is not None:
-            out["n_max"] = self.n_max
+    def _check_across_fields(self, entry: "_Scenario") -> None:
+        """The rules that relate a field to another field or to the entry."""
+        if self.perturbation["kind"] == "random_dense" and self.levels[1] > DENSE_MAX_LEVEL:
+            raise ConfigError(
+                "levels", f"random_dense draws an n x n matrix; levels must stay <= {DENSE_MAX_LEVEL}"
+            )
+        atoms = len(self.space["atom_masses"]) if self.space and "atom_masses" in self.space else None
+        if entry.dense and atoms > MAX_RANDOM_DIMENSION:
+            why = f"{self.scenario} builds n x n arrays over its atoms"
+            raise ConfigError("space.atom_masses", f"{why}: at most {MAX_RANDOM_DIMENSION}, got {atoms}")
+        atom_values = _lookup(self, "u.atoms")
+        if isinstance(atom_values, list) and len(atom_values) != atoms:
+            raise ConfigError("u.atoms", f"{len(atom_values)} values for {atoms} atoms")
+        for path in ("u.diffuse", "kernel.eta", "kernel.g"):
+            spec = _lookup(self, path)
+            if spec is None:
+                continue
+            if spec["kind"] not in entry.functions:
+                raise ConfigError(f"{path}.kind", f"{self.scenario} takes kinds {entry.functions}")
+            if spec["kind"] == "values":
+                size = len(spec["values"])
+            elif spec["kind"] == "geometric_tail":
+                size = spec["count"] + 1
+            else:
+                continue
+            if size != atoms:
+                raise ConfigError(path, f"{spec['kind']} gives {size} coordinates for {atoms} atoms")
+        if self.n_max is not None and self.n_max > atoms:
+            raise ConfigError("n_max", f"n_max exceeds the dimension {atoms}")
         if self.trials is not None:
-            out["trials"] = self.trials
-        out["seed"] = self.seed
-        if self.formula is not None:
-            out["formula"] = dict(self.formula)
-        return out
+            dim = self.space["random"]["dimension"]
+            if self.trials * dim * dim > MAX_TRIAL_ENTRIES:
+                raise ConfigError("trials", f"trials x dimension**2 must be <= {MAX_TRIAL_ENTRIES}")
 
-    # -- scenario-specific requirements ---------------------------------
-
-    def _require(self, cond: bool, path: str, message: str) -> None:
-        if not cond:
-            raise ConfigError(path, message)
-
-    def _validate_scenario(self) -> None:
-        s = self.scenario
-        if self.p < 1.0:
-            raise ConfigError("p", f"p must be >= 1, got {self.p}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon", f"epsilon must be positive, got {self.epsilon}")
-        if self.trials is not None and self.trials < 1:
-            raise ConfigError("trials", "trials must be >= 1")
-        if s == "atomic_limsup":
-            self._require(self.space is not None and "atom_masses" in self.space,
-                          "space.atom_masses", "atomic_limsup needs explicit atoms")
-            self._require(self.u is not None and "atoms" in self.u and "tail" in self.u,
-                          "u", "atomic_limsup needs u.atoms and u.tail")
-            self._require(self.k_range is not None, "k_range", "atomic_limsup sweeps k_range")
-            self._require(self.p == 1.0, "p", "atomic_limsup uses exact L1 norms; p must be 1")
-            self._require(self.perturbation["kind"] in ("none", "truncation"),
-                          "perturbation.kind",
-                          "atomic_limsup supports only the truncation perturbation")
-        elif s == "diffuse_witness":
-            self._require(self.space is not None and "interval" in self.space,
-                          "space.interval", "diffuse_witness needs a diffuse interval")
-            self._require(self.u is not None and "diffuse" in self.u,
-                          "u.diffuse", "diffuse_witness needs the symbol on the interval")
-            self._require(self.levels is not None, "levels", "diffuse_witness sweeps levels")
-            self._require(self.epsilon is not None, "epsilon", "diffuse_witness needs epsilon")
-            self._require(self.perturbation["kind"] != "truncation",
-                          "perturbation.kind", "truncation applies to atomic spaces only")
-            self._require(self.perturbation["kind"] != "random_dense"
-                          or self.levels[1] <= DENSE_MAX_LEVEL, "levels",
-                          f"random_dense draws an n x n matrix; levels must stay <= {DENSE_MAX_LEVEL}")
-        elif s == "pinching_suite":
-            self._require(self.space is not None and "random" in self.space,
-                          "space.random", "pinching_suite draws random spaces")
-            self._require(self.trials is not None, "trials", "pinching_suite needs a trial count")
-            self._require(self.p == 1.0, "p", "pinching contractivity is exact at p = 1 only")
-        elif s == "rankone_centre_decay":
-            self._require(self.kernel is not None, "kernel", "rankone_centre_decay needs eta and g")
-            self._require(self.levels is not None, "levels", "rankone_centre_decay sweeps levels")
-        elif s == "qn_decay":
-            self._require(self.space is not None and "atom_masses" in self.space,
-                          "space.atom_masses", "qn_decay needs explicit atoms")
-            self._require(self.kernel is not None, "kernel", "qn_decay needs eta and g")
-            self._require(self.p == 1.0, "p", "tail-compression norms are exact at p = 1 only")
-        elif s == "lattice_oracle":
-            self._require(self.space is not None and "random" in self.space,
-                          "space.random", "lattice_oracle draws random operators")
-            self._require(self.trials is not None, "trials", "lattice_oracle needs a trial count")
-
-
-def _parse_kernel(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, "expected an object with 'eta' and 'g'")
-    _check_keys(value, ("eta", "g"), path)
-    return {
-        "eta": _parse_fnspec(_req(value, "eta", path), f"{path}.eta"),
-        "g": _parse_fnspec(_req(value, "g", path), f"{path}.g"),
-    }
+    def to_dict(self) -> dict:
+        return json.loads(json.dumps({k: v for k, v in vars(self).items() if v is not None}))
 
 
 # ---------------------------------------------------------------------------
@@ -529,43 +489,27 @@ class ScenarioResult:
 
 
 def _tail_from(spec: dict) -> TailDescriptor:
-    return TailDescriptor(spec["kind"], tuple(spec.get("params", [])))
+    return TailDescriptor(spec["kind"], tuple(spec["params"]))
 
 
-def _fn_callable(spec: dict, path: str) -> Callable[[np.ndarray], np.ndarray]:
-    kind = spec["kind"]
-    if kind == "identity":
+def _fn_callable(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """The function of the interval variable of one of _FUNCTION_KINDS."""
+    if spec["kind"] == "identity":
         return lambda x: x
-    if kind == "constant":
+    if spec["kind"] == "constant":
         c = spec["value"]
         return lambda x: c
-    if kind == "poly":
-        return np.polynomial.Polynomial(spec["coeffs"])
-    raise ConfigError(path, f"kind {kind!r} does not define a function of the interval variable")
+    return np.polynomial.Polynomial(spec["coeffs"])
 
 
-def _fn_vector(spec: dict, space: MeasureSpace, path: str) -> np.ndarray:
-    kind = spec["kind"]
-    if kind == "constant":
-        return np.full(space.dimension, spec["value"])
-    if kind == "values":
-        values = np.asarray(spec["values"], dtype=float)
-        if values.size != space.dimension:
-            raise ConfigError(
-                path, f"{values.size} values for a space of dimension {space.dimension}"
-            )
-        return values
-    if kind == "geometric_tail":
-        count = spec["count"]
-        if count + 1 != space.dimension:
-            raise ConfigError(
-                path,
-                f"geometric_tail of count {count} needs dimension {count + 1}, "
-                f"space has {space.dimension}",
-            )
-        values = 0.5 ** np.arange(1, count + 1, dtype=float)
-        return np.concatenate([values, [0.5**count]])
-    raise ConfigError(path, f"kind {kind!r} does not define a coordinate vector")
+def _fn_vector(spec: dict, dimension: int) -> np.ndarray:
+    """The coordinate vector of one of _VECTOR_KINDS."""
+    if spec["kind"] == "constant":
+        return np.full(dimension, spec["value"])
+    if spec["kind"] == "values":
+        return np.asarray(spec["values"], dtype=float)
+    count = spec["count"]
+    return np.concatenate([0.5 ** np.arange(1, count + 1, dtype=float), [0.5**count]])
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -602,10 +546,8 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
         cert_gap = max(cert_gap, abs(cert.bound - value) / max(1.0, abs(value)))
         rows.append(_make_row(k, value, cert.bound, formula))
 
-    values = [r.computed for r in rows]
-    non_increasing = all(values[i + 1] <= values[i] for i in range(len(values) - 1))
     checks = [
-        Check("values_non_increasing_in_k", non_increasing),
+        Check("values_non_increasing_in_k", _non_increasing(rows)),
         Check(
             "certificate_matches_value",
             cert_gap <= 1e-12,
@@ -631,7 +573,7 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
 
 def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
     a, b = cfg.space["interval"]
-    ufn = _fn_callable(cfg.u["diffuse"], "u.diffuse")
+    ufn = _fn_callable(cfg.u["diffuse"])
     pert = cfg.perturbation
     kernel = None
     if pert["kind"] == "rank_one":
@@ -723,18 +665,26 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     return ScenarioResult(cfg.scenario, rows, checks)
 
 
+def _non_increasing(rows: list[Row]) -> bool:
+    return all(b.computed <= a.computed for a, b in zip(rows, rows[1:]))
+
+
+def _formula_check(rows: list[Row]) -> list[Check]:
+    """The matches_formula check over the rows that have a formula value."""
+    residuals = [r.residual / max(1.0, abs(r.formula)) for r in rows if r.residual is not None]
+    if not residuals:
+        return []
+    worst = max(residuals)
+    return [Check("matches_formula", worst <= 1e-12, f"max relative residual {worst:.3e}")]
+
+
 def _run_rankone_centre_decay(cfg: ExperimentConfig) -> ScenarioResult:
     eta_spec = cfg.kernel["eta"]
     g_spec = cfg.kernel["g"]
     interval = tuple(cfg.space["interval"]) if cfg.space and "interval" in cfg.space else (0.0, 1.0)
     l0, l1 = cfg.levels
     levels = list(range(l0, l1 + 1))
-    values = centre_decay_under_refinement(
-        _fn_callable(eta_spec, "kernel.eta"),
-        _fn_callable(g_spec, "kernel.g"),
-        levels,
-        interval,
-    )
+    values = centre_decay_under_refinement(_fn_callable(eta_spec), _fn_callable(g_spec), levels, interval)
 
     width = interval[1] - interval[0]
     rows = []
@@ -746,31 +696,20 @@ def _run_rankone_centre_decay(cfg: ExperimentConfig) -> ScenarioResult:
             formula = _eval_formula(cfg.formula, level)
         rows.append(_make_row(level, value, None, formula))
 
-    non_increasing = all(
-        rows[i + 1].computed <= rows[i].computed for i in range(len(rows) - 1)
-    )
     decays = len(rows) < 2 or rows[-1].computed < rows[0].computed or rows[0].computed == 0.0
     checks = [
-        Check("centre_norm_non_increasing", non_increasing),
+        Check("centre_norm_non_increasing", _non_increasing(rows)),
         Check("centre_norm_decays", decays),
     ]
-    res_rows = [r for r in rows if r.residual is not None]
-    if res_rows:
-        worst = max(
-            r.residual / max(1.0, abs(r.formula)) for r in res_rows
-        )
-        checks.append(Check("matches_formula", worst <= 1e-12, f"max relative residual {worst:.3e}"))
-    return ScenarioResult(cfg.scenario, rows, checks)
+    return ScenarioResult(cfg.scenario, rows, checks + _formula_check(rows))
 
 
 def _run_qn_decay(cfg: ExperimentConfig) -> ScenarioResult:
     space = build_space(cfg.space["atom_masses"])
-    g = StepFunction(_fn_vector(cfg.kernel["g"], space, "kernel.g"), space)
-    eta = StepFunction(_fn_vector(cfg.kernel["eta"], space, "kernel.eta"), space)
+    g = StepFunction(_fn_vector(cfg.kernel["g"], space.dimension), space)
+    eta = StepFunction(_fn_vector(cfg.kernel["eta"], space.dimension), space)
     K = rank_one_diffuse(eta, g)
     n_max = cfg.n_max if cfg.n_max is not None else space.dimension
-    if n_max > space.dimension:
-        raise ConfigError("n_max", f"n_max exceeds the dimension {space.dimension}")
     profile = qn_decay_profile(K, n_max)
 
     rows = []
@@ -781,11 +720,7 @@ def _run_qn_decay(cfg: ExperimentConfig) -> ScenarioResult:
     checks = [Check("profile_nonnegative", all(r.computed >= 0.0 for r in rows))]
     if n_max == space.dimension:
         checks.append(Check("final_value_zero", rows[-1].computed == 0.0))
-    res_rows = [r for r in rows if r.residual is not None]
-    if res_rows:
-        worst = max(r.residual / max(1.0, abs(r.formula)) for r in res_rows)
-        checks.append(Check("matches_formula", worst <= 1e-12, f"max relative residual {worst:.3e}"))
-    return ScenarioResult(cfg.scenario, rows, checks)
+    return ScenarioResult(cfg.scenario, rows, checks + _formula_check(rows))
 
 
 def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray, n_grid: int = 21) -> tuple[np.ndarray, np.ndarray]:
@@ -869,19 +804,56 @@ def _eval_formula(spec: dict, param: float) -> float:
     return spec["value"]
 
 
-_RUNNERS = {
-    "atomic_limsup": _run_atomic_limsup,
-    "diffuse_witness": _run_diffuse_witness,
-    "pinching_suite": _run_pinching_suite,
-    "rankone_centre_decay": _run_rankone_centre_decay,
-    "qn_decay": _run_qn_decay,
-    "lattice_oracle": _run_lattice_oracle,
+@dataclass(frozen=True)
+class _Scenario:
+    """What a scenario reads: its required and optional field paths (a
+    top-level name or ``space.<member>`` / ``u.<member>``), the perturbation
+    kinds it takes, the kinds its function specs take, whether p must be 1,
+    and whether it builds n x n arrays over its atoms.  Every config also
+    takes the common fields."""
+
+    run: Callable[[ExperimentConfig], ScenarioResult]
+    requires: tuple[str, ...]
+    accepts: tuple[str, ...] = ()
+    perturbations: tuple[str, ...] = ("none",)
+    functions: tuple[str, ...] = _FUNCTION_KINDS
+    p_is_one: bool = False
+    dense: bool = False
+
+
+_SCENARIOS = {
+    "atomic_limsup": _Scenario(
+        _run_atomic_limsup,
+        ("space.atom_masses", "u.atoms", "u.tail", "k_range"),
+        ("space.tail",),
+        ("none", "truncation"),
+        p_is_one=True,
+    ),
+    "diffuse_witness": _Scenario(
+        _run_diffuse_witness,
+        ("space.interval", "u.diffuse", "levels", "epsilon"),
+        perturbations=("none", "rank_one", "random_dense"),
+    ),
+    "pinching_suite": _Scenario(_run_pinching_suite, ("space.random", "trials"), p_is_one=True),
+    "rankone_centre_decay": _Scenario(
+        _run_rankone_centre_decay, ("kernel", "levels"), ("space.interval", "formula")
+    ),
+    "qn_decay": _Scenario(
+        _run_qn_decay,
+        ("space.atom_masses", "kernel"),
+        ("n_max", "formula"),
+        functions=_VECTOR_KINDS,
+        p_is_one=True,
+        dense=True,
+    ),
+    "lattice_oracle": _Scenario(_run_lattice_oracle, ("space.random", "trials")),
 }
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     """Run one scenario; deterministic given the config (seed included)."""
-    return _RUNNERS[config.scenario](config)
+    return _SCENARIOS[config.scenario].run(config)
 
 
 # ---------------------------------------------------------------------------

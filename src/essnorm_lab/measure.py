@@ -30,8 +30,6 @@ __all__ = [
     "TailDescriptor",
     "MeasureSpace",
     "build_space",
-    "refine",
-    "limsup_abs",
 ]
 
 _TAIL_KINDS = {
@@ -124,17 +122,6 @@ class TailDescriptor:
             return c + alpha / n
         c1, c2 = self.params
         return c1 if n % 2 == 1 else c2
-
-
-def limsup_abs(tail: TailDescriptor, stored_values: Sequence[float] = ()) -> float:
-    """limsup of |u_n| over the full infinite atom sequence.
-
-    ``stored_values`` is the finite prefix actually held in memory; it is
-    accepted for interface symmetry but never inspected, because a limsup
-    is unchanged by altering finitely many terms.
-    """
-    del stored_values
-    return tail.limsup_abs()
 
 
 @dataclass(frozen=True)
@@ -275,8 +262,3 @@ def build_space(
         diffuse_interval=diffuse_interval,
         diffuse_level=diffuse_level,
     )
-
-
-def refine(space: MeasureSpace) -> MeasureSpace:
-    """Functional alias for :meth:`MeasureSpace.refine`."""
-    return space.refine()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from essnorm_lab.measure import TailDescriptor, build_space, limsup_abs, refine
+from essnorm_lab.measure import TailDescriptor, build_space
 
 
 class TestBuildSpace:
@@ -48,62 +48,56 @@ class TestBuildSpace:
 class TestRefine:
     def test_single_halving(self):
         space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=0)
-        fine = refine(space)
+        fine = space.refine()
         assert fine.diffuse_level == 1
         assert fine.n_cells == 2
         np.testing.assert_array_equal(fine.masses, [0.5, 0.5])
 
     def test_refine_twice_from_level_one(self):
         space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=1)
-        fine = refine(refine(space))
+        fine = space.refine().refine()
         assert fine.diffuse_level == 3
         assert fine.n_cells == 8
         assert fine.cell_mass == 0.125
 
     def test_atoms_unchanged(self):
         space = build_space((2.0, 3.0), diffuse_interval=(0.0, 2.0), diffuse_level=2)
-        fine = refine(space)
+        fine = space.refine()
         assert fine.atom_masses == (2.0, 3.0)
 
     def test_purely_atomic_rejected(self):
         space = build_space((1.0,))
         with pytest.raises(ValueError, match="indivisible"):
-            refine(space)
+            space.refine()
 
     def test_mass_preserved_exactly(self):
         space = build_space(diffuse_interval=(0.25, 0.75), diffuse_level=0)
         for _ in range(6):
-            space = refine(space)
+            space = space.refine()
             assert float(np.sum(space.masses)) == 0.5
 
     def test_dimension_formula(self):
         space = build_space((1.0, 1.0), diffuse_interval=(0, 1), diffuse_level=2)
         for k in range(5):
             assert space.dimension == 2 + 2 ** (2 + k)
-            space = refine(space)
+            space = space.refine()
 
 
 class TestTailDescriptor:
     def test_limsup_harmonic(self):
         tail = TailDescriptor.harmonic_limit(1.0)
-        assert limsup_abs(tail, (2.0, 1.5)) == 1.0
+        assert tail.limsup_abs() == 1.0
 
     def test_limsup_finitely_supported(self):
         tail = TailDescriptor.finitely_supported()
-        assert limsup_abs(tail, (5.0, 4.0, 3.0)) == 0.0
+        assert tail.limsup_abs() == 0.0
 
     def test_limsup_alternating(self):
         tail = TailDescriptor.alternating(2.0, -3.0)
-        assert limsup_abs(tail) == 3.0
+        assert tail.limsup_abs() == 3.0
 
     def test_limsup_constant(self):
-        assert limsup_abs(TailDescriptor.constant_limit(-0.5)) == 0.5
-
-    def test_prefix_independence(self):
-        tail = TailDescriptor.harmonic_limit(2.0, alpha=3.0)
-        prefixes = [(), (100.0,), (0.0, 0.0, 0.0), tuple(range(50))]
-        results = {limsup_abs(tail, p) for p in prefixes}
-        assert results == {2.0}
+        assert TailDescriptor.constant_limit(-0.5).limsup_abs() == 0.5
 
     def test_values(self):
         tail = TailDescriptor.harmonic_limit(1.0)
