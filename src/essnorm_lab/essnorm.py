@@ -160,8 +160,7 @@ def pinching_lower_bound(
         )
     if u.space != K.space:
         raise ValueError("u and K live on different spaces")
-    compressed = MultiplicationOperator(u.coefficients + K.diagonal, u.space)
-    quotients = p1_column_quotients(compressed)
+    quotients = p1_column_quotients(mult_op(u) + diagonal_compactification(K))
     j = int(np.argmax(quotients))
     bound = float(quotients[j])
     witness = normalized_indicator(u.space, [j], 1.0)
@@ -270,8 +269,7 @@ def verify_certificate(
             return False
         return cert.bound <= opnorm_upper_bound(mult_op(u) + K, p) * (1.0 + rtol)
     if cert.construction == PINCHING_DIAGONAL:
-        compressed = MultiplicationOperator(u.coefficients + K.diagonal, u.space)
-        quotients = p1_column_quotients(compressed)
+        quotients = p1_column_quotients(mult_op(u) + diagonal_compactification(K))
         if cert.bound != float(np.max(quotients)):
             return False
         support = np.nonzero(cert.witness.coefficients)[0]

@@ -55,6 +55,7 @@ from .operators import (
     FunctionKernel,
     MatrixOperator,
     MultiplicationOperator,
+    _diagonal_quotients,
     _pinched,
     _weighted_abs_colsums,
     mult_op,
@@ -296,6 +297,10 @@ def _parse_interval(value: Any, path: str) -> list[float]:
     return interval
 
 
+# the range pinching_suite draws its masses from when the config leaves it out
+_MASS_RANGE = {"mass_low": 0.1, "mass_high": 2.0}
+
+
 def _parse_random(value: Any, path: str) -> dict:
     members = {
         "dimension": _int_in(1, MAX_RANDOM_DIMENSION, "every trial draws a dense n x n matrix"),
@@ -304,7 +309,7 @@ def _parse_random(value: Any, path: str) -> dict:
     }
     rnd = _parse_members(value, path, members, ("dimension",))
     if "mass_low" in rnd or "mass_high" in rnd:
-        rnd = {"mass_low": 0.1, "mass_high": 2.0, **rnd}
+        rnd = {**_MASS_RANGE, **rnd}
         if not 0 < rnd["mass_low"] <= rnd["mass_high"]:
             raise ConfigError(
                 path, f"need 0 < mass_low <= mass_high, got {rnd['mass_low']}, {rnd['mass_high']}"
@@ -342,10 +347,22 @@ _FIELDS: dict[str, Callable[[Any, str], Any]] = {
 
 
 def _lookup(cfg: "ExperimentConfig", path: str) -> Any:
-    """The value at a field path ``name`` or ``name.member``, or None."""
-    name, _, member = path.partition(".")
+    """The value at a field path ``name.member...``, or None."""
+    name, *members = path.split(".")
     value = getattr(cfg, name)
-    return value.get(member) if member and value is not None else value
+    for member in members:
+        value = None if value is None else value.get(member)
+    return value
+
+
+def _check_paths(d: dict, paths: list[list[str]], path: str) -> None:
+    """Refuse the keys of ``d`` that no field path names; below a key, check
+    the object it holds when every path through the key names a member."""
+    _check_keys(d, {p[0] for p in paths}, path)
+    for key, value in d.items():
+        below = [p[1:] for p in paths if p[0] == key]
+        if isinstance(value, dict) and all(below):
+            _check_paths(value, below, key if path == "<root>" else f"{path}.{key}")
 
 
 @dataclass(eq=True)
@@ -376,12 +393,9 @@ class ExperimentConfig:
                 "scenario", f"unknown scenario {scenario!r}; expected one of {SCENARIOS}"
             )
         entry = _SCENARIOS[scenario]
-        # a scenario takes only the fields it reads, down to space and u members
-        paths = [f.partition(".") for f in (*_COMMON_FIELDS, *entry.requires, *entry.accepts)]
-        _check_keys(raw, {name for name, _, _ in paths}, "<root>")
-        for section in ("space", "u"):
-            if isinstance(raw.get(section), dict):
-                _check_keys(raw[section], {m for name, _, m in paths if name == section}, section)
+        # a scenario takes only the fields it reads, down to the members it names
+        paths = [f.split(".") for f in (*_COMMON_FIELDS, *entry.requires, *entry.accepts)]
+        _check_paths(raw, paths, "<root>")
         cfg = cls(
             scenario=scenario,
             **{name: _FIELDS[name](value, name) for name, value in raw.items() if name != "scenario"},
@@ -430,6 +444,10 @@ class ExperimentConfig:
                 raise ConfigError(path, f"{spec['kind']} gives {size} coordinates for {atoms} atoms")
         if self.n_max is not None and self.n_max > atoms:
             raise ConfigError("n_max", f"n_max exceeds the dimension {atoms}")
+        # |formula| is largest at the last parameter of the sweep
+        last = self.levels[1] if self.levels else (atoms if self.n_max is None else self.n_max)
+        if self.formula is not None and not math.isfinite(_eval_formula(self.formula, last)):
+            raise ConfigError("formula", f"not a finite number at parameter {last}")
         if self.trials is not None:
             dim = self.space["random"]["dimension"]
             if self.trials * dim * dim > MAX_TRIAL_ENTRIES:
@@ -623,10 +641,8 @@ def _p1_norms(stack: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
-    rnd = cfg.space["random"]
-    dim = rnd["dimension"]
-    lo = rnd.get("mass_low", 0.1)
-    hi = rnd.get("mass_high", 2.0)
+    rnd = {**_MASS_RANGE, **cfg.space["random"]}
+    dim, lo, hi = rnd["dimension"], rnd["mass_low"], rnd["mass_high"]
     size = _stack_size(dim * dim)
     masses = np.empty((size, dim))
     entries = np.empty((size, dim, dim))
@@ -648,7 +664,7 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
                 assign[i] = a
         mu, A = masses[:k], entries[:k]
         # the diagonal pinch, then the two-block pinch of the assignment
-        pinched = _p1_norms(_pinched(A, np.arange(dim)), mu)
+        pinched = np.max(_diagonal_quotients(np.diagonal(A, 0, -2, -1), mu), axis=-1)
         if dim >= 2:
             pinched = np.maximum(pinched, _p1_norms(_pinched(A, assign[:k]), mu))
         worst += pinched.tolist()
@@ -686,15 +702,12 @@ def _run_rankone_centre_decay(cfg: ExperimentConfig) -> ScenarioResult:
     levels = list(range(l0, l1 + 1))
     values = centre_decay_under_refinement(_fn_callable(eta_spec), _fn_callable(g_spec), levels, interval)
 
-    width = interval[1] - interval[0]
-    rows = []
-    for level, value in zip(levels, values):
-        formula = None
-        if eta_spec["kind"] == "constant" and g_spec["kind"] == "constant":
-            formula = abs(eta_spec["value"] * g_spec["value"]) * width * 2.0 ** (-level)
-        elif cfg.formula is not None:
-            formula = _eval_formula(cfg.formula, level)
-        rows.append(_make_row(level, value, None, formula))
+    spec = cfg.formula
+    if spec is None and eta_spec["kind"] == g_spec["kind"] == "constant":
+        # the closed form |eta g| (b - a) 2**-level
+        scale = abs(eta_spec["value"] * g_spec["value"]) * (interval[1] - interval[0])
+        spec = {"kind": "power", "base": 0.5, "scale": scale}
+    rows = [_make_row(level, value, None, _eval_formula(spec, level)) for level, value in zip(levels, values)]
 
     decays = len(rows) < 2 or rows[-1].computed < rows[0].computed or rows[0].computed == 0.0
     checks = [
@@ -711,11 +724,7 @@ def _run_qn_decay(cfg: ExperimentConfig) -> ScenarioResult:
     K = rank_one_diffuse(eta, g)
     n_max = cfg.n_max if cfg.n_max is not None else space.dimension
     profile = qn_decay_profile(K, n_max)
-
-    rows = []
-    for n, value in enumerate(profile):
-        formula = _eval_formula(cfg.formula, n) if cfg.formula is not None else None
-        rows.append(_make_row(n, value, None, formula))
+    rows = [_make_row(n, value, None, _eval_formula(cfg.formula, n)) for n, value in enumerate(profile)]
 
     checks = [Check("profile_nonnegative", all(r.computed >= 0.0 for r in rows))]
     if n_max == space.dimension:
@@ -798,19 +807,25 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     return ScenarioResult(cfg.scenario, rows, checks)
 
 
-def _eval_formula(spec: dict, param: float) -> float:
-    if spec["kind"] == "power":
+def _eval_formula(spec: dict | None, param: float) -> float | None:
+    """The formula at param: None without one, inf beyond the float range."""
+    if spec is None:
+        return None
+    if spec["kind"] == "constant":
+        return spec["value"]
+    try:
         return spec["scale"] * spec["base"] ** param
-    return spec["value"]
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
 class _Scenario:
-    """What a scenario reads: its required and optional field paths (a
-    top-level name or ``space.<member>`` / ``u.<member>``), the perturbation
-    kinds it takes, the kinds its function specs take, whether p must be 1,
-    and whether it builds n x n arrays over its atoms.  Every config also
-    takes the common fields."""
+    """What a scenario reads: its required and optional field paths (dotted,
+    as ``space.random.dimension``; a path that stops at an object takes all
+    its members), the perturbation kinds it takes, the kinds its function
+    specs take, whether p must be 1, and whether it builds n x n arrays
+    over its atoms.  Every config also takes the common fields."""
 
     run: Callable[[ExperimentConfig], ScenarioResult]
     requires: tuple[str, ...]
@@ -846,7 +861,7 @@ _SCENARIOS = {
         p_is_one=True,
         dense=True,
     ),
-    "lattice_oracle": _Scenario(_run_lattice_oracle, ("space.random", "trials")),
+    "lattice_oracle": _Scenario(_run_lattice_oracle, ("space.random.dimension", "trials")),
 }
 SCENARIOS = tuple(_SCENARIOS)
 

@@ -20,14 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .essnorm import diagonal_compactification
 from .lpspace import StepFunction
 from .measure import build_space
-from .operators import (
-    MatrixOperator,
-    MultiplicationOperator,
-    opnorm_estimate,
-    opnorm_p1,
-)
+from .operators import MatrixOperator, MultiplicationOperator, opnorm_estimate, rank_one_diffuse
 
 __all__ = [
     "RegularDecomposition",
@@ -54,10 +50,7 @@ class RegularDecomposition:
     disjoint_part: MatrixOperator
 
     def total(self) -> MatrixOperator:
-        return MatrixOperator(
-            self.centre_part.entries + self.disjoint_part.entries,
-            self.centre_part.space,
-        )
+        return self.centre_part + self.disjoint_part
 
 
 def _same_space(S: MatrixOperator, T: MatrixOperator) -> None:
@@ -88,10 +81,7 @@ def meet(S: MatrixOperator, T: MatrixOperator) -> MatrixOperator:
 
 def regular_norm(S: MatrixOperator, p: float = 1.0) -> float:
     """Regular norm |S|_r = || |S| ||; exact at p = 1."""
-    m = modulus(S)
-    if float(p) == 1.0:
-        return opnorm_p1(m)
-    return opnorm_estimate(m, p)
+    return opnorm_estimate(modulus(S), p)
 
 
 def centre_project(S: MatrixOperator) -> RegularDecomposition:
@@ -100,11 +90,10 @@ def centre_project(S: MatrixOperator) -> RegularDecomposition:
     Returns the diagonal of S as a MultiplicationOperator together with the
     zero-diagonal remainder; the two parts add back to S exactly.
     """
-    diag = S.diagonal
     off = S.entries.copy()
     np.fill_diagonal(off, 0.0)
     return RegularDecomposition(
-        centre_part=MultiplicationOperator(diag, S.space),
+        centre_part=diagonal_compactification(S),
         disjoint_part=MatrixOperator(off, S.space),
     )
 
@@ -119,22 +108,17 @@ def centre_decay_under_refinement(
 
     For each level L the kernel K f = (integral eta f) g is discretized on
     the interval at 2**L cells and the norm of its centre projection,
-    max_i |g_i * eta_i * mu(C_i)|, is recorded.  The sequence decays to
+    max_i |g_i * eta_i * mu(C_i)|, is recorded; the kernel is held as its
+    factors, so no 4**L entries are built.  The sequence decays to
     zero: on an ever finer grid a rank-one operator has an ever smaller
     diagonal, which is the discrete face of the fact that positive
     rank-one kernels on a diffuse space dominate no multiplication
     operator but zero.
     """
-    eta_fn = eta if callable(eta) else (lambda x, c=float(eta): c)
-    g_fn = g if callable(g) else (lambda x, c=float(g): c)
+    fns = [f if callable(f) else (lambda x, c=float(f): c) for f in (eta, g)]
     out = []
     for level in levels:
         space = build_space(diffuse_interval=interval, diffuse_level=int(level))
-        eta_l = StepFunction.from_function(space, eta_fn)
-        g_l = StepFunction.from_function(space, g_fn)
-        # the centre part of the rank-one matrix outer(g, eta * mu) is its
-        # diagonal; taking it factor-wise avoids materializing 4**level
-        # entries and reproduces centre_project(rank_one_diffuse(.)) exactly
-        diag = g_l.coefficients * (eta_l.coefficients * space.masses)
-        out.append(float(np.max(np.abs(diag))))
+        eta_l, g_l = (StepFunction.from_function(space, fn) for fn in fns)
+        out.append(diagonal_compactification(rank_one_diffuse(eta_l, g_l)).opnorm)
     return out

@@ -290,19 +290,16 @@ def rank_one_atomic_offdiag(j: int, eta: StepFunction) -> MatrixOperator:
 def _column_blocks(A: MatrixOperator) -> Iterator[tuple[int, int, np.ndarray]]:
     """(start, stop, columns start:stop of A) over blocks of _BLOCK columns.
 
-    An operator no wider than one block yields its (kept) entries.  The
-    last block absorbs a single leftover column: numpy reduces a lone
+    The last block absorbs a single leftover column: numpy reduces a lone
     column pairwise, but adds the rows of a wider C-contiguous block one
-    after another, top to bottom.  Built blocks are C-contiguous, writable
-    and share one buffer: each is scratch that the caller may overwrite,
-    valid only until the next one is yielded.
+    after another, top to bottom.  Kept entries are yielded as read-only
+    views; built blocks are C-contiguous, writable and share one buffer:
+    each is scratch that the caller may overwrite, valid only until the
+    next one is yielded.
     """
     n = A.dimension
-    if n <= _BLOCK:
-        yield 0, n, A.entries
-        return
     edges = list(range(0, n, _BLOCK)) + [n]
-    if n - edges[-2] == 1:
+    if len(edges) > 2 and n - edges[-2] == 1:
         del edges[-2]
     out, term = np.empty(n * (_BLOCK + 1)), np.empty(n * (_BLOCK + 1))
     for start, stop in zip(edges[:-1], edges[1:]):
@@ -324,13 +321,17 @@ def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
     """
     mu = A.space.masses
     if A._diagonal_only:
-        # the one nonzero of each column is its sum: adding zeros is exact
-        d = np.zeros(A.dimension) if A._diag is None else A._diag
-        return np.abs(d) * mu / mu
+        return _diagonal_quotients(A.diagonal, mu)
     colsums = np.empty(A.dimension)
     for start, stop, block in _column_blocks(A):
         colsums[start:stop] = _weighted_abs_colsums(block, mu)
     return colsums / mu
+
+
+def _diagonal_quotients(d: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Column quotients of diag(d), or of a stack of diagonals (trials, n):
+    the one nonzero of each column is its sum, as adding zeros is exact."""
+    return np.abs(d) * mu / mu
 
 
 def _weighted_abs_colsums(block: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -85,12 +85,27 @@ class TestScenarioTable:
             ("rankone_centre_decay", "space", "atom_masses", [1.0], "space.atom_masses"),
             ("qn_decay", "space", "tail", {"kind": "finitely_supported"}, "space.tail"),
             ("pinching_suite", "space", "interval", [0.0, 1.0], "space.interval"),
+            # lattice_oracle draws no masses
+            ("lattice_oracle", "space", "random", {"dimension": 5, "mass_low": 0.1}, "space.random.mass_low"),
+            ("lattice_oracle", "space", "random", {"dimension": 5, "mass_high": 2.0}, "space.random.mass_high"),
         ],
     )
     def test_fields_a_scenario_does_not_read_are_refused(self, tmp_path, name, section, key, value, field_path):
         raw = shipped(name)
         (raw[section] if section else raw)[key] = value
         assert_refused(tmp_path, raw, field_path)
+
+    def test_given_formula_wins_over_closed_form(self, tmp_path):
+        # both kernel factors are constants, whose closed form is 2**-level
+        out = str(tmp_path / "out")
+        raw = shipped("rankone_centre_decay", formula={"kind": "power", "base": 0.6})
+        result = cli(tmp_path, raw, "run", "--out", out)
+        assert result.exit_code == 1, result.output
+        assert "rankone_centre_decay: matches_formula: FAIL" in result.output
+        raw["formula"]["base"] = 0.5
+        result = cli(tmp_path, raw, "run", "--out", out)
+        assert result.exit_code == 0, result.output
+        assert "rankone_centre_decay: matches_formula: PASS" in result.output
 
     def test_perturbation_kind_names_its_scenarios(self):
         raw = shipped("qn_decay", perturbation={"kind": "truncation", "cutoff": 3})
@@ -169,6 +184,18 @@ class TestRunErrorsCaughtAtParse:
         raw = shipped("diffuse_witness")
         raw["u"]["diffuse"] = {"kind": "poly", "coeffs": []}
         assert_refused(tmp_path, raw, "u.diffuse.coeffs")
+
+    @pytest.mark.parametrize("name", ["rankone_centre_decay", "qn_decay"])
+    def test_formula_overflow(self, tmp_path, name):
+        # the shipped sweeps end at level 12 and at n = 20
+        assert_refused(tmp_path, shipped(name, formula={"kind": "power", "base": 1e300}), "formula")
+        assert_refused(tmp_path, shipped(name, formula={"kind": "power", "base": 10.0, "scale": 1e300}), "formula")
+        assert_accepted(tmp_path, shipped(name, formula={"kind": "power", "base": 1e15}))
+
+    def test_formula_checked_at_atom_count_without_n_max(self, tmp_path):
+        raw = shipped("qn_decay", formula={"kind": "power", "base": 1e15})
+        del raw["n_max"]
+        assert_refused(tmp_path, raw, "formula")
 
     @pytest.mark.parametrize("section", [None, "perturbation"])
     def test_negative_seed(self, tmp_path, section):

@@ -553,14 +553,15 @@ class TestTrialScenarios:
     def test_stacks_match_per_trial_runner(self, scenario, dim, monkeypatch):
         # one trial, exactly one stack, and one trial into a second stack;
         # a spy on a function called once per stack (the pinching suite
-        # takes the norms of the diagonal pinch, the two-block pinch when
-        # dim >= 2, and the operator) records the stacks actually run
+        # takes the norms of the two-block pinch when dim >= 2 and of the
+        # operator; the diagonal pinch reads the diagonals) records the
+        # stacks actually run
         size = stack_size(scenario, dim)
         reference = PER_TRIAL[scenario](31, dim, size + 1)
         if scenario == "lattice_oracle":
             name, per_stack = "_one_parameter_join_meet", 1
         else:
-            name, per_stack = "_p1_norms", 3 if dim >= 2 else 2
+            name, per_stack = "_p1_norms", 2 if dim >= 2 else 1
         stacks = []
         real = getattr(experiments, name)
         monkeypatch.setattr(experiments, name, lambda X, *args: stacks.append(len(X)) or real(X, *args))

@@ -528,6 +528,12 @@ FACTORED_SPACES = [
     )
 ]
 
+# one cell, one atom and one cell, and exactly one block of cells
+SMALL_SPACES = [
+    build_space(masses, diffuse_interval=(0.0, 1.0), diffuse_level=level)
+    for masses, level in (((), 0), ((0.3,), 0), ((), 6))
+]
+
 
 def symbol(space, seed):
     atoms = np.random.default_rng(seed).uniform(-2.0, 2.0, space.n_atoms)
@@ -552,7 +558,7 @@ class TestFactoredOperators:
         np.testing.assert_allclose(A.matvec(x), dense @ x, rtol=1e-13, atol=1e-15)
         assert not A.entries.flags.writeable
 
-    @pytest.mark.parametrize("space", FACTORED_SPACES, ids=lambda s: f"n{s.dimension}")
+    @pytest.mark.parametrize("space", FACTORED_SPACES + SMALL_SPACES, ids=lambda s: f"n{s.dimension}")
     def test_blockwise_quotients_match_cumsum(self, space):
         rng = np.random.default_rng(space.dimension)
         kernel = FunctionKernel.random_polynomial(3, 5)
@@ -582,6 +588,15 @@ class TestFactoredOperators:
         np.testing.assert_array_equal(
             bits((K + mult_op(u)).entries), bits((mult_op(u) + K).entries)
         )
+
+    @pytest.mark.parametrize("space", SMALL_SPACES, ids=lambda s: f"n{s.dimension}")
+    def test_small_norm_builds_no_entries(self, space):
+        # an operator no wider than one column block streams through the
+        # block buffer like a wide one
+        A = mult_op(symbol(space, 1)) + FunctionKernel.random_polynomial(3, 1).discretize(space)
+        opnorm_p1(A)
+        opnorm_upper_bound(A, 2.0)
+        assert A._entries is None
 
     def test_zero_has_no_parts(self):
         space = FACTORED_SPACES[0]
