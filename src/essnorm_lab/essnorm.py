@@ -20,6 +20,7 @@ that never search the perturbation space:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,9 +31,10 @@ from .measure import MeasureSpace, TailDescriptor
 from .operators import (
     MatrixOperator,
     MultiplicationOperator,
+    _quotients_on,
+    _upper_bound_on,
     mult_op,
     opnorm_p1,
-    opnorm_upper_bound,
     p1_column_quotients,
 )
 
@@ -184,16 +186,17 @@ def witness_sets(u_diffuse: Sequence[float], eps: float) -> list[tuple[int, ...]
     if not 0.0 < eps < m:
         raise ValueError(f"eps must lie strictly between 0 and max|u| = {m}, got {eps}")
     threshold = m - eps
-    selected = [i for i in range(values.size) if values[i] > threshold]
-    # a maximizing cell always qualifies, so the superlevel set is nonempty
-    selected.sort(key=lambda i: (-values[i], i))
+    # a maximizing cell always qualifies, so the superlevel set is nonempty;
+    # the stable sort keeps cells of equal |u| in index order
+    selected = np.flatnonzero(values > threshold)
+    order = selected[np.argsort(-values[selected], kind="stable")]
     sets: list[tuple[int, ...]] = []
-    current = selected
+    size = order.size
     while True:
-        sets.append(tuple(sorted(current)))
-        if len(current) == 1:
+        sets.append(tuple(np.sort(order[:size]).tolist()))
+        if size == 1:
             break
-        current = current[: len(current) // 2]
+        size //= 2
     return sets
 
 
@@ -224,12 +227,10 @@ def witness_lower_bound(
     fns = [
         normalized_indicator(space, [na + i for i in s], p) for s in local_sets
     ]
-    candidates = list(fns)
-    for n in range(len(fns)):
-        for m in range(n + 1, len(fns)):
-            candidates.append(fns[n] - fns[m])
+    # each difference is built when it is evaluated, not kept
+    candidates = itertools.chain(fns, (f - h for f, h in itertools.combinations(fns, 2)))
     best_ratio = -np.inf
-    best_g = candidates[0]
+    best_g = fns[0]
     for g in candidates:
         r = perturbed_ratio(u, K, g, p)
         if r > best_ratio:
@@ -250,16 +251,20 @@ def verify_certificate(
 
     witness_pair: recomputing the witness quotient must reproduce the bound
     (bit-exactly at p = 1, within ``rtol`` otherwise), and the bound must
-    not exceed an upper bound for the norm of M_u + K (within ``rtol``; the
-    quotient and the column sums take different float paths): the exact
-    norm at p = 1, the Riesz-Thorin bound otherwise.
+    not exceed an upper bound for the norm of (M_u + K) P_S, where P_S
+    keeps the support S of the witness g (within ``rtol``; the quotient and
+    the column sums take different float paths): the exact max over j in S
+    of the column quotients q_j at p = 1, the Riesz-Thorin bound of
+    (M_u + K) P_S otherwise.  As g = P_S g, the quotient is at most
+    |(M_u + K) P_S| <= |M_u + K|, so this check is stricter than one
+    against the norm of M_u + K, and it reads only the columns in S.
 
     pinching_diagonal: the bound must equal the exact L1 norm of
-    M_u + D_K, the witness must sit on a column attaining it, and the
-    contractivity comparison against the exact norm of M_u + K holds with
-    no tolerance at all (the compressed column sums are sub-sums of the
-    full ones).
+    M_u + D_K, the witness must sit on a column j attaining it, and the
+    contractivity comparison against q_j(M_u + K) holds with no tolerance
+    at all (the compressed column sum is one term of the full one).
     """
+    support = np.flatnonzero(cert.witness.coefficients)
     if cert.construction == WITNESS_PAIR:
         r = perturbed_ratio(u, K, cert.witness, p)
         if float(p) == 1.0:
@@ -267,15 +272,14 @@ def verify_certificate(
                 return False
         elif abs(r - cert.bound) > rtol * max(1.0, abs(cert.bound)):
             return False
-        return cert.bound <= opnorm_upper_bound(mult_op(u) + K, p) * (1.0 + rtol)
+        return cert.bound <= _upper_bound_on(mult_op(u) + K, float(p), support) * (1.0 + rtol)
     if cert.construction == PINCHING_DIAGONAL:
         quotients = p1_column_quotients(mult_op(u) + diagonal_compactification(K))
         if cert.bound != float(np.max(quotients)):
             return False
-        support = np.nonzero(cert.witness.coefficients)[0]
         if support.size != 1 or quotients[support[0]] != cert.bound:
             return False
-        return cert.bound <= opnorm_p1(mult_op(u) + K)
+        return cert.bound <= float(_quotients_on(mult_op(u) + K, support)[0])
     raise ValueError(f"unknown certificate construction {cert.construction!r}")
 
 

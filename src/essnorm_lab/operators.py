@@ -112,36 +112,40 @@ class MatrixOperator:
         return self._dense is None and self._factors is None
 
     def _columns(
-        self, start: int, stop: int, out: np.ndarray | None = None, term: np.ndarray | None = None
+        self, cols: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None
     ) -> np.ndarray:
-        """Columns start:stop of the matrix, read-only or built.
+        """Columns ``cols`` of the matrix, an index array that is strictly
+        increasing or holds one column twice.
 
-        A block is built in ``out`` with ``term`` as scratch, both
-        n x (stop - start) arrays that are allocated when not given.
+        The block is built in ``out`` with ``term`` as scratch, both
+        C-contiguous n x len(cols) arrays that are allocated when not given.
         """
+        # a run of consecutive columns is read through a slice, which numpy
+        # copies faster than a gather
+        run = cols[-1] - cols[0] == cols.size - 1
+        sel = slice(cols[0], cols[-1] + 1) if run else cols
+        block = np.zeros((self.dimension, cols.size)) if out is None else out
         if self._entries is not None:
-            return self._entries[:, start:stop]
-        shape = (self.dimension, stop - start)
-        block = np.zeros(shape) if out is None else out
+            np.copyto(block, self._entries[:, sel])
+            return block
         if self._dense is not None:
-            np.copyto(block, self._dense[:, start:stop])
+            np.copyto(block, self._dense[:, sel])
         elif out is not None:
             block.fill(0.0)
         if self._factors is not None:
-            term = np.empty(shape) if term is None else term
+            term = np.empty(block.shape) if term is None else term
             for g, e in zip(self._factors[0].T, self._factors[1].T):
-                np.multiply(g[:, None], e[None, start:stop], out=term)
+                np.multiply(g[:, None], e[None, sel], out=term)
                 block += term
         if self._diag is not None:
-            cols = np.arange(stop - start)
-            block[start + cols, cols] += self._diag[start:stop]
+            block[cols, np.arange(cols.size)] += self._diag[sel]
         return block
 
     @property
     def entries(self) -> np.ndarray:
         """The n x n matrix, built on first access and kept (read-only)."""
         if self._entries is None:
-            arr = self._columns(0, self.dimension)
+            arr = self._columns(np.arange(self.dimension))
             arr.setflags(write=False)
             self._entries = arr
         return self._entries
@@ -287,26 +291,44 @@ def rank_one_atomic_offdiag(j: int, eta: StepFunction) -> MatrixOperator:
     return MatrixOperator(entries, space)
 
 
-def _column_blocks(A: MatrixOperator) -> Iterator[tuple[int, int, np.ndarray]]:
-    """(start, stop, columns start:stop of A) over blocks of _BLOCK columns.
+def _column_blocks(A: MatrixOperator, cols: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, block) over the columns ``cols`` (strictly increasing) of A,
+    _BLOCK at a time.
 
-    The last block absorbs a single leftover column: numpy reduces a lone
-    column pairwise, but adds the rows of a wider C-contiguous block one
-    after another, top to bottom.  Kept entries are yielded as read-only
-    views; built blocks are C-contiguous, writable and share one buffer:
-    each is scratch that the caller may overwrite, valid only until the
-    next one is yielded.
+    The first hi - lo columns of each block are columns cols[lo:hi] of A.
+    numpy reduces a lone column pairwise, but adds the rows of a wider
+    C-contiguous block one after another, top to bottom; so the last block
+    absorbs a single leftover column, and a lone column (``cols`` of size
+    one) is built twice, the copy being a further column the caller
+    discards.  The blocks are C-contiguous, writable and share one buffer
+    of (min(len(cols), _BLOCK) + 1) columns: each is scratch that the
+    caller may overwrite, valid only until the next one is yielded.
     """
-    n = A.dimension
-    edges = list(range(0, n, _BLOCK)) + [n]
-    if len(edges) > 2 and n - edges[-2] == 1:
+    n, k = A.dimension, cols.size
+    edges = list(range(0, k, _BLOCK)) + [k]
+    if len(edges) > 2 and k - edges[-2] == 1:
         del edges[-2]
-    out, term = np.empty(n * (_BLOCK + 1)), np.empty(n * (_BLOCK + 1))
-    for start, stop in zip(edges[:-1], edges[1:]):
-        size = n * (stop - start)
-        yield start, stop, A._columns(
-            start, stop, out[:size].reshape(n, -1), term[:size].reshape(n, -1)
+    width = min(k, _BLOCK) + 1
+    out, term = np.empty(n * width), np.empty(n * width)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        chunk = cols[lo:hi] if hi - lo > 1 else cols[[lo, lo]]
+        size = n * chunk.size
+        yield lo, hi, A._columns(
+            chunk, out[:size].reshape(n, -1), term[:size].reshape(n, -1)
         )
+
+
+def _quotients_on(A: MatrixOperator, cols: np.ndarray) -> np.ndarray:
+    """Column quotients of A on the strictly increasing columns ``cols``:
+    entry t is p1_column_quotients(A)[cols[t]], bit for bit, at
+    O(n len(cols) r) cost for a factored A."""
+    mu = A.space.masses
+    if A._diagonal_only:
+        return _diagonal_quotients(A.diagonal, mu)[cols]
+    colsums = np.empty(cols.size)
+    for lo, hi, block in _column_blocks(A, cols):
+        colsums[lo:hi] = _weighted_abs_colsums(block, mu)[: hi - lo]
+    return colsums / mu[cols]
 
 
 def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
@@ -319,13 +341,7 @@ def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
     quotient, exactly, in floating point.  The columns are built and summed
     a block at a time, so the n x n array is never formed.
     """
-    mu = A.space.masses
-    if A._diagonal_only:
-        return _diagonal_quotients(A.diagonal, mu)
-    colsums = np.empty(A.dimension)
-    for start, stop, block in _column_blocks(A):
-        colsums[start:stop] = _weighted_abs_colsums(block, mu)
-    return colsums / mu
+    return _quotients_on(A, np.arange(A.dimension))
 
 
 def _diagonal_quotients(d: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -351,6 +367,29 @@ def opnorm_p1(A: MatrixOperator) -> float:
     return float(np.max(p1_column_quotients(A)))
 
 
+def _upper_bound_on(A: MatrixOperator, p: float, cols: np.ndarray) -> float:
+    """Upper bound for the norm of A P_S on weighted L_p, where P_S keeps the
+    coordinates S = ``cols``: the exact max of their column quotients at
+    p = 1, the Riesz-Thorin bound of A P_S otherwise.
+
+    A P_S has the columns of A in S and zeros elsewhere, so its column and
+    row sums are sub-sums of those of A, read from the columns in S only.
+    """
+    if p == 1.0:
+        return float(np.max(_quotients_on(A, cols)))
+    w = A.space.masses ** (1.0 / p)
+    colsums = np.empty(cols.size)
+    rowsums = np.zeros(A.dimension)
+    for lo, hi, block in _column_blocks(A, cols):
+        absb = block[:, : hi - lo]
+        np.abs(absb, out=absb)
+        colsums[lo:hi] = w @ absb
+        rowsums += absb @ (1.0 / w[cols[lo:hi]])
+    norm_1 = float(np.max(colsums / w[cols]))
+    norm_inf = float(np.max(w * rowsums))
+    return norm_1 ** (1.0 / p) * norm_inf ** (1.0 - 1.0 / p)
+
+
 def opnorm_upper_bound(A: MatrixOperator, p: float) -> float:
     """Riesz-Thorin upper bound for the operator norm of A on weighted L_p.
 
@@ -360,19 +399,7 @@ def opnorm_upper_bound(A: MatrixOperator, p: float) -> float:
     column blocks as the exact L1 norm.  At p = 1 the exact norm is
     returned.
     """
-    p = _check_p(p)
-    if p == 1.0:
-        return opnorm_p1(A)
-    w = A.space.masses ** (1.0 / p)
-    colsums = np.empty(A.dimension)
-    rowsums = np.zeros(A.dimension)
-    for start, stop, block in _column_blocks(A):
-        absb = np.abs(block)
-        colsums[start:stop] = w @ absb
-        rowsums += absb @ (1.0 / w[start:stop])
-    norm_1 = float(np.max(colsums / w))
-    norm_inf = float(np.max(w * rowsums))
-    return norm_1 ** (1.0 / p) * norm_inf ** (1.0 - 1.0 / p)
+    return _upper_bound_on(A, _check_p(p), np.arange(A.dimension))
 
 
 # termination reasons of the block ascent, in the order its exit tests run

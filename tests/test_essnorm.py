@@ -1,11 +1,17 @@
 import itertools
+import json
+import math
 import tracemalloc
+from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 import pytest
 
+import essnorm_lab.essnorm as essnorm_module
 from essnorm_lab.essnorm import (
     EssNormProblem,
+    LowerBoundCertificate,
     PINCHING_DIAGONAL,
     WITNESS_PAIR,
     best_diagonal_rank_k,
@@ -19,18 +25,24 @@ from essnorm_lab.essnorm import (
     witness_lower_bound,
     witness_sets,
 )
+from essnorm_lab.experiments import ExperimentConfig, run_scenario
 from essnorm_lab.lattice import centre_project
-from essnorm_lab.lpspace import StepFunction, norm_p
+from essnorm_lab.lpspace import StepFunction, norm_p, normalized_indicator
 from essnorm_lab.measure import TailDescriptor, build_space
 from essnorm_lab.operators import (
     FunctionKernel,
     MatrixOperator,
     MultiplicationOperator,
+    _quotients_on,
     mult_op,
     opnorm_p1,
+    opnorm_upper_bound,
+    p1_column_quotients,
     projections,
     rank_one_diffuse,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def unit_atoms(n):
@@ -199,6 +211,33 @@ class TestWitnessSets:
         with pytest.raises(ValueError, match="eps"):
             witness_sets([0.5, 1.0], eps)
 
+    def test_matches_sorted_construction(self):
+        def sorted_sets(u_diffuse, eps):
+            # cells above max|u| - eps, sorted by (-|u|, index), halved
+            values = np.abs(np.asarray(u_diffuse, dtype=float))
+            threshold = float(np.max(values)) - eps
+            selected = [i for i in range(values.size) if values[i] > threshold]
+            selected.sort(key=lambda i: (-values[i], i))
+            sets, current = [], selected
+            while True:
+                sets.append(tuple(sorted(current)))
+                if len(current) == 1:
+                    return sets
+                current = current[: len(current) // 2]
+
+        rng = np.random.default_rng(83)
+        cases = [(np.full(100, -0.7), 0.1), ([0.1, 0.9, 0.2, -0.3], 0.5), ([0.9], 0.5)]
+        for _ in range(20):
+            # quarter steps in [-2, 2]: equal |u| within and across signs
+            cases.append((rng.integers(-8, 9, int(rng.integers(1, 300))) / 4.0, 0.9))
+            cases.append((rng.uniform(-1.0, 1.0, 500), 0.4))
+        for values, eps in cases:
+            if np.max(np.abs(values)) <= eps:
+                continue
+            sets = witness_sets(values, eps)
+            assert sets == sorted_sets(values, eps)
+            assert all(type(i) is int for s in sets for i in s)
+
 
 class TestWitnessLowerBound:
     def test_unperturbed_bound_exceeds_sup_minus_eps(self):
@@ -280,6 +319,27 @@ def diffuse_problem(seed, level):
     return u, FunctionKernel.random_polynomial(3, seed)
 
 
+def assert_streams_without_entries(monkeypatch, level):
+    """Witness search and verification at a level never build the n x n
+    entries and peak below 64 MB of traced allocations."""
+    u, kernel = diffuse_problem(7, level)
+    K = kernel.discretize(u.space)
+
+    def no_entries(self):
+        raise AssertionError("the n x n entry array was built")
+
+    monkeypatch.setattr(MatrixOperator, "entries", property(no_entries))
+    tracemalloc.start()
+    try:
+        cert = witness_lower_bound(u, K, 0.1, 1.0)
+        verified = verify_certificate(cert, u, K, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verified
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 class TestFactoredWitness:
     @pytest.mark.parametrize("p", [1.0, 1.5])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
@@ -305,22 +365,175 @@ class TestFactoredWitness:
         assert verify_certificate(cert, u, K, 1.5)
 
     def test_level_12_streams_without_entries(self, monkeypatch):
-        u, kernel = diffuse_problem(7, 12)
+        assert_streams_without_entries(monkeypatch, 12)
+
+    def test_level_14_streams_without_entries(self, monkeypatch):
+        assert_streams_without_entries(monkeypatch, 14)
+
+    def test_witness_search_streams_candidates(self):
+        # level 14 has 11 witness sets, so 66 candidates of 128 KB each:
+        # 8.3 MB if they were all built before the first is evaluated
+        u, kernel = diffuse_problem(7, 14)
         K = kernel.discretize(u.space)
-
-        def no_entries(self):
-            raise AssertionError("the n x n entry array was built")
-
-        monkeypatch.setattr(MatrixOperator, "entries", property(no_entries))
         tracemalloc.start()
         try:
-            cert = witness_lower_bound(u, K, 0.1, 1.0)
-            verified = verify_certificate(cert, u, K, 1.0)
+            witness_lower_bound(u, K, 0.1, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert verified
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def full_check(cert, u, K, p, rtol=1e-12):
+    """verify_certificate as it read before it checked on the witness's
+    support: a witness_pair bound against an upper bound for the whole of
+    M_u + K, a pinching_diagonal bound against the exact norm of M_u + K."""
+    if cert.construction == WITNESS_PAIR:
+        r = essnorm_module.perturbed_ratio(u, K, cert.witness, p)
+        if p == 1.0:
+            if r != cert.bound:
+                return False
+        elif abs(r - cert.bound) > rtol * max(1.0, abs(cert.bound)):
+            return False
+        return cert.bound <= opnorm_upper_bound(mult_op(u) + K, p) * (1.0 + rtol)
+    quotients = p1_column_quotients(mult_op(u) + essnorm_module.diagonal_compactification(K))
+    if cert.bound != float(np.max(quotients)):
+        return False
+    support = np.nonzero(cert.witness.coefficients)[0]
+    if support.size != 1 or quotients[support[0]] != cert.bound:
+        return False
+    return cert.bound <= opnorm_p1(mult_op(u) + K)
+
+
+def support(g):
+    return np.flatnonzero(g.coefficients)
+
+
+class TestSupportVerification:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_support_quotients_match_full_quotients(self, seed):
+        # the quotients on every witness set and on the winning witnesses
+        # at p = 1 and 1.5, level 13 for one kernel only (0.4 s each)
+        for level in range(4, 14 if seed == 7 else 13):
+            u, kernel = diffuse_problem(seed, level)
+            for K in (kernel.discretize(u.space), MatrixOperator.zero(u.space)):
+                A = mult_op(u) + K
+                full = p1_column_quotients(A)
+                cols = [np.array(s) for s in witness_sets(u.coefficients, 0.1)]
+                cols += [support(witness_lower_bound(u, K, 0.1, p).witness) for p in (1.0, 1.5)]
+                for c in cols:
+                    np.testing.assert_array_equal(_quotients_on(A, c), full[c])
+
+    def test_support_quotients_of_random_dense_perturbations(self):
+        for level in range(4, 11):
+            u, _ = diffuse_problem(0, level)
+            rng = np.random.default_rng([5, level])
+            K = MatrixOperator(rng.uniform(-1.0, 1.0, (u.space.dimension,) * 2), u.space)
+            A = mult_op(u) + K
+            full = p1_column_quotients(A)
+            for p in (1.0, 1.5):
+                c = support(witness_lower_bound(u, K, 0.1, p).witness)
+                np.testing.assert_array_equal(_quotients_on(A, c), full[c])
+            for c in witness_sets(u.coefficients, 0.1):
+                np.testing.assert_array_equal(_quotients_on(A, np.array(c)), full[list(c)])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_every_certificate_passes_both_checks(self, seed, p):
+        for level in range(4, 13):
+            u, kernel = diffuse_problem(seed, level)
+            K = kernel.discretize(u.space)
+            cert = witness_lower_bound(u, K, 0.1, p)
+            assert verify_certificate(cert, u, K, p), (level, cert.bound)
+            assert full_check(cert, u, K, p), (level, cert.bound)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_witness_pair_bound_above_its_support_is_rejected(self, monkeypatch, p):
+        # the witness's recomputed quotient is taken to be the forged bound,
+        # so only the soundness comparison decides
+        u, kernel = diffuse_problem(7, 8)
+        K = kernel.discretize(u.space)
+        A = mult_op(u) + K
+        q = p1_column_quotients(A)
+        cols = np.sort(np.argsort(q, kind="stable")[:3])
+        witness = normalized_indicator(u.space, cols, p)
+        if p == 1.0:
+            on_support = float(np.max(q[cols]))
+        else:
+            # the Riesz-Thorin bound of A P_S, from the dense entries
+            w = u.space.masses ** (1.0 / p)
+            B = np.abs(w[:, None] * A.entries[:, cols] / w[None, cols])
+            on_support = B.sum(axis=0).max() ** (1.0 / p) * B.sum(axis=1).max() ** (1.0 - 1.0 / p)
+        full = opnorm_upper_bound(A, p)
+        assert on_support * (1 + 1e-6) < full
+
+        def forged(bound):
+            monkeypatch.setattr(essnorm_module, "perturbed_ratio", lambda *args: bound)
+            return LowerBoundCertificate(bound, witness, WITNESS_PAIR)
+
+        between = forged(0.5 * (on_support + full))
+        assert full_check(between, u, K, p)
+        assert not verify_certificate(between, u, K, p)
+        if p == 1.0:
+            # the bound may reach max over S of q_j within rtol, not beyond
+            threshold = on_support * (1.0 + 1e-12)
+            assert verify_certificate(forged(threshold), u, K, p)
+            assert not verify_certificate(forged(np.nextafter(threshold, np.inf)), u, K, p)
+
+    def test_pinching_bound_above_its_column_is_rejected(self, monkeypatch):
+        # u = 0 on dyadic cells, so the forged diagonal's quotient is the
+        # forged bound exactly; every column but j has a zero diagonal
+        space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=6)
+        u = StepFunction(np.zeros(space.dimension), space)
+        K = FunctionKernel.random_polynomial(3, 7).discretize(space)
+        q = p1_column_quotients(mult_op(u) + K)
+        j = int(np.argmin(q))
+        assert q[j] * (1 + 1e-6) < np.max(q)
+
+        def forged(bound):
+            d = np.zeros(space.dimension)
+            d[j] = bound
+            monkeypatch.setattr(
+                essnorm_module, "diagonal_compactification",
+                lambda K: MultiplicationOperator(d, K.space),
+            )
+            return LowerBoundCertificate(bound, normalized_indicator(space, [j], 1.0), PINCHING_DIAGONAL)
+
+        between = forged(0.5 * (q[j] + np.max(q)))
+        assert full_check(between, u, K, 1.0)
+        assert not verify_certificate(between, u, K, 1.0)
+        assert verify_certificate(forged(float(q[j])), u, K, 1.0)
+        assert not verify_certificate(forged(np.nextafter(q[j], np.inf)), u, K, 1.0)
+
+    def test_verification_builds_blocks_on_the_support_only(self, monkeypatch):
+        u, kernel = diffuse_problem(7, 12)
+        K = kernel.discretize(u.space)
+        fns = [normalized_indicator(u.space, s, 1.0) for s in witness_sets(u.coefficients, 0.1)]
+        certs = [(witness_lower_bound(u, K, 0.1, p), p) for p in (1.0, 1.5, 3.0)]
+        for g in fns + [fns[0] - fns[1], fns[2] - fns[-1]]:
+            certs.append((LowerBoundCertificate(perturbed_ratio(u, K, g, 1.0), g, WITNESS_PAIR), 1.0))
+        blocks = []
+        columns = MatrixOperator._columns
+
+        def spy(self, *args, **kwargs):
+            blocks.append(args)
+            return columns(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixOperator, "_columns", spy)
+        for cert, p in certs:
+            blocks.clear()
+            assert verify_certificate(cert, u, K, p)
+            size = support(cert.witness).size
+            assert len(blocks) <= math.ceil(size / 64) + 1, (size, len(blocks))
+
+    def test_level_16_run_within_budget(self):
+        raw = json.loads((CONFIGS / "diffuse_witness.json").read_text())
+        cfg = ExperimentConfig.from_dict({**raw, "levels": [16, 16]})
+        start = perf_counter()
+        result = run_scenario(cfg)
+        elapsed = perf_counter() - start
+        assert [c.passed for c in result.checks] == [True]
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 class TestQnDecayProfile:

@@ -7,6 +7,8 @@ from essnorm_lab.operators import (
     FunctionKernel,
     MatrixOperator,
     _block_ascent,
+    _quotients_on,
+    _upper_bound_on,
     mult_op,
     opnorm_estimate,
     opnorm_p1,
@@ -632,3 +634,62 @@ class TestOpnormUpperBound:
     def test_exact_at_p1(self):
         A = MatrixOperator([[1.0, -2.0], [3.0, 4.0]], build_space((0.3, 1.7)))
         assert opnorm_upper_bound(A, 1.0) == opnorm_p1(A)
+
+
+def support_cases(space):
+    """Operators of every structure on a space: factored, factored +
+    diagonal, dense, dense + diagonal and diagonal-only."""
+    kernel = FunctionKernel.random_polynomial(3, 3)
+    u = symbol(space, 3)
+    R = np.random.default_rng(space.dimension).uniform(-1.0, 1.0, (space.dimension,) * 2)
+    K = kernel.discretize(space)
+    return [K, mult_op(u) + K, MatrixOperator(R, space), mult_op(u) + MatrixOperator(R, space), mult_op(u)]
+
+
+def supports(n, seed):
+    """A single column (first, last, inner), exactly one block of 64, 65
+    columns (one past a block), and a random spread, each ascending."""
+    rng = np.random.default_rng(seed)
+    out = [np.array([0]), np.array([n - 1]), np.array([n // 2])]
+    for size in (64, 65, 129):
+        if size <= n:
+            out.append(np.arange(n - size, n))
+            out.append(np.sort(rng.choice(n, size, replace=False)))
+    out.append(np.sort(rng.choice(n, max(1, n // 3), replace=False)))
+    return out
+
+
+class TestSupportColumns:
+    @pytest.mark.parametrize(
+        "space", FACTORED_SPACES + SMALL_SPACES, ids=lambda s: f"n{s.dimension}"
+    )
+    def test_quotients_bit_identical_to_full(self, space):
+        for A in support_cases(space):
+            full = p1_column_quotients(A)
+            for cols in supports(space.dimension, 1):
+                np.testing.assert_array_equal(bits(_quotients_on(A, cols)), bits(full[cols]))
+                assert _upper_bound_on(A, 1.0, cols) == float(np.max(full[cols]))
+
+    def test_kept_entries_gathered(self):
+        # an operator whose entries were built streams gathered columns
+        # from them, copied, and leaves the kept array untouched
+        space = FACTORED_SPACES[3]
+        A = support_cases(space)[1]
+        full = p1_column_quotients(A)
+        kept = A.entries.copy()
+        for cols in supports(space.dimension, 2):
+            np.testing.assert_array_equal(bits(_quotients_on(A, cols)), bits(full[cols]))
+        np.testing.assert_array_equal(bits(A.entries), bits(kept))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_upper_bound_is_riesz_thorin_of_the_support(self, p):
+        for space in FACTORED_SPACES[:3] + SMALL_SPACES[:2]:
+            n = space.dimension
+            for A in support_cases(space):
+                assert _upper_bound_on(A, p, np.arange(n)) == opnorm_upper_bound(A, p)
+                for cols in supports(n, 3):
+                    masked = np.zeros((n, n))
+                    masked[:, cols] = A.entries[:, cols]
+                    upper = _upper_bound_on(A, p, cols)
+                    assert upper == pytest.approx(riesz_thorin(masked, space, p), rel=1e-13)
+                    assert upper <= opnorm_upper_bound(A, p) * (1 + 1e-13)
