@@ -33,8 +33,8 @@ from .operators import (
     MultiplicationOperator,
     _quotients_on,
     _upper_bound_on,
+    _weighted_abs_colsums,
     mult_op,
-    opnorm_p1,
     p1_column_quotients,
 )
 
@@ -57,6 +57,10 @@ __all__ = [
 
 WITNESS_PAIR = "witness_pair"
 PINCHING_DIAGONAL = "pinching_diagonal"
+
+# relative tolerance of verify_certificate where the witness quotient and
+# the support's upper bound take different float paths (p != 1)
+_VERIFY_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,21 +244,19 @@ def witness_lower_bound(
 
 
 def verify_certificate(
-    cert: LowerBoundCertificate,
-    u: StepFunction,
-    K: MatrixOperator,
-    p: float,
-    *,
-    rtol: float = 1e-12,
+    cert: LowerBoundCertificate, u: StepFunction, K: MatrixOperator, p: float
 ) -> bool:
     """Check that a certificate is reproduced by its witness and is sound.
 
+    A witness that is zero or has a non-finite coordinate certifies
+    nothing and is rejected.
+
     witness_pair: recomputing the witness quotient must reproduce the bound
-    (bit-exactly at p = 1, within ``rtol`` otherwise), and the bound must
-    not exceed an upper bound for the norm of (M_u + K) P_S, where P_S
-    keeps the support S of the witness g (within ``rtol``; the quotient and
-    the column sums take different float paths): the exact max over j in S
-    of the column quotients q_j at p = 1, the Riesz-Thorin bound of
+    (bit-exactly at p = 1, within _VERIFY_RTOL otherwise), and the bound
+    must not exceed an upper bound for the norm of (M_u + K) P_S, where P_S
+    keeps the support S of the witness g (within _VERIFY_RTOL; the quotient
+    and the column sums take different float paths): the exact max over j
+    in S of the column quotients q_j at p = 1, the Riesz-Thorin bound of
     (M_u + K) P_S otherwise.  As g = P_S g, the quotient is at most
     |(M_u + K) P_S| <= |M_u + K|, so this check is stricter than one
     against the norm of M_u + K, and it reads only the columns in S.
@@ -264,15 +266,19 @@ def verify_certificate(
     contractivity comparison against q_j(M_u + K) holds with no tolerance
     at all (the compressed column sum is one term of the full one).
     """
-    support = np.flatnonzero(cert.witness.coefficients)
+    g = cert.witness.coefficients
+    support = np.flatnonzero(g)
+    if support.size == 0 or not np.all(np.isfinite(g)):
+        return False
     if cert.construction == WITNESS_PAIR:
         r = perturbed_ratio(u, K, cert.witness, p)
         if float(p) == 1.0:
             if r != cert.bound:
                 return False
-        elif abs(r - cert.bound) > rtol * max(1.0, abs(cert.bound)):
+        # written so that a NaN quotient or bound fails
+        elif not abs(r - cert.bound) <= _VERIFY_RTOL * max(1.0, abs(cert.bound)):
             return False
-        return cert.bound <= _upper_bound_on(mult_op(u) + K, float(p), support) * (1.0 + rtol)
+        return cert.bound <= _upper_bound_on(mult_op(u) + K, float(p), support) * (1.0 + _VERIFY_RTOL)
     if cert.construction == PINCHING_DIAGONAL:
         quotients = p1_column_quotients(mult_op(u) + diagonal_compactification(K))
         if cert.bound != float(np.max(quotients)):
@@ -297,12 +303,13 @@ def qn_decay_profile(K: MatrixOperator, n_max: int | None = None) -> list[float]
     n_max = int(n_max)
     if not 0 <= n_max <= dim:
         raise ValueError(f"n_max must lie in [0, {dim}], got {n_max}")
-    out = []
-    for n in range(n_max + 1):
-        masked = K.entries.copy()
-        masked[:n, :] = 0.0
-        out.append(opnorm_p1(MatrixOperator(masked, K.space)))
-    return out
+    # rows n.. of K summed as opnorm_p1 sums them: the zeroed rows of Q_n K
+    # come first and add exact zeros
+    entries, mu = K.entries, K.space.masses
+    return [
+        float(np.max(_weighted_abs_colsums(entries[n:], mu[n:]) / mu)) if n < dim else 0.0
+        for n in range(n_max + 1)
+    ]
 
 
 def best_diagonal_rank_k(u_values: Sequence[float], k: int) -> float:

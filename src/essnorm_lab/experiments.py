@@ -104,6 +104,8 @@ _STACK_ENTRIES = 4096
 # 5 points per coordinate
 _MODULUS_DIM = 3
 _GRID_STEPS = 5
+# and join/meet against 21 values of the split parameter t in [0, 1]
+_SPLIT_STEPS = 21
 
 
 class ConfigError(ValueError):
@@ -732,7 +734,7 @@ def _run_qn_decay(cfg: ExperimentConfig) -> ScenarioResult:
     return ScenarioResult(cfg.scenario, rows, checks + _formula_check(rows))
 
 
-def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray, n_grid: int = 21) -> tuple[np.ndarray, np.ndarray]:
+def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columnwise sup/inf over decompositions f = t f + (1-t) f of e_j.
 
     For a coordinate indicator, any split g + h = f with g, h >= 0 is a
@@ -742,7 +744,7 @@ def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray, n_grid: int = 21) -> 
     """
     hi = np.full(S.shape, -np.inf)
     lo = np.full(S.shape, np.inf)
-    for t in np.linspace(0.0, 1.0, n_grid):
+    for t in np.linspace(0.0, 1.0, _SPLIT_STEPS):
         cand = t * S + (1.0 - t) * T
         np.maximum(hi, cand, out=hi)
         np.minimum(lo, cand, out=lo)

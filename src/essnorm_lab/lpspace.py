@@ -165,17 +165,11 @@ def normalized_indicator(
 def to_standard(f: StepFunction, p: float) -> np.ndarray:
     """Coordinates of f under the isometry onto the unweighted p-space."""
     p = _check_p(p)
-    mu = f.space.masses
-    if p == 1.0:
-        return f.coefficients * mu
-    return f.coefficients * mu ** (1.0 / p)
+    return f.coefficients * f.space.masses ** (1.0 / p)
 
 
 def from_standard(values: Sequence[float], space: MeasureSpace, p: float) -> StepFunction:
     """Inverse of :func:`to_standard`."""
     p = _check_p(p)
     values = np.asarray(values, dtype=float)
-    mu = space.masses
-    if p == 1.0:
-        return StepFunction(values / mu, space)
-    return StepFunction(values / mu ** (1.0 / p), space)
+    return StepFunction(values / space.masses ** (1.0 / p), space)

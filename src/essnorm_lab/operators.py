@@ -47,6 +47,9 @@ __all__ = [
 # per temporary, 2 MB at n = 4096
 _BLOCK = 64
 
+# degree of the polynomial factors of FunctionKernel.random_polynomial
+_KERNEL_DEGREE = 2
+
 
 def _frozen(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -114,8 +117,8 @@ class MatrixOperator:
     def _columns(
         self, cols: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None
     ) -> np.ndarray:
-        """Columns ``cols`` of the matrix, an index array that is strictly
-        increasing or holds one column twice.
+        """Columns ``cols`` of the matrix, a strictly increasing index array,
+        built from the parts.
 
         The block is built in ``out`` with ``term`` as scratch, both
         C-contiguous n x len(cols) arrays that are allocated when not given.
@@ -125,9 +128,6 @@ class MatrixOperator:
         run = cols[-1] - cols[0] == cols.size - 1
         sel = slice(cols[0], cols[-1] + 1) if run else cols
         block = np.zeros((self.dimension, cols.size)) if out is None else out
-        if self._entries is not None:
-            np.copyto(block, self._entries[:, sel])
-            return block
         if self._dense is not None:
             np.copyto(block, self._dense[:, sel])
         elif out is not None:
@@ -293,27 +293,19 @@ def rank_one_atomic_offdiag(j: int, eta: StepFunction) -> MatrixOperator:
 
 def _column_blocks(A: MatrixOperator, cols: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
     """(lo, hi, block) over the columns ``cols`` (strictly increasing) of A,
-    _BLOCK at a time.
+    _BLOCK at a time: block holds columns cols[lo:hi] of A.
 
-    The first hi - lo columns of each block are columns cols[lo:hi] of A.
-    numpy reduces a lone column pairwise, but adds the rows of a wider
-    C-contiguous block one after another, top to bottom; so the last block
-    absorbs a single leftover column, and a lone column (``cols`` of size
-    one) is built twice, the copy being a further column the caller
-    discards.  The blocks are C-contiguous, writable and share one buffer
-    of (min(len(cols), _BLOCK) + 1) columns: each is scratch that the
-    caller may overwrite, valid only until the next one is yielded.
+    The blocks are C-contiguous, writable and share one buffer of
+    min(len(cols), _BLOCK) columns: each is scratch that the caller may
+    overwrite, valid only until the next one is yielded.
     """
     n, k = A.dimension, cols.size
-    edges = list(range(0, k, _BLOCK)) + [k]
-    if len(edges) > 2 and k - edges[-2] == 1:
-        del edges[-2]
-    width = min(k, _BLOCK) + 1
+    width = min(k, _BLOCK)
     out, term = np.empty(n * width), np.empty(n * width)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        chunk = cols[lo:hi] if hi - lo > 1 else cols[[lo, lo]]
+    for lo in range(0, k, _BLOCK):
+        chunk = cols[lo : lo + _BLOCK]
         size = n * chunk.size
-        yield lo, hi, A._columns(
+        yield lo, lo + chunk.size, A._columns(
             chunk, out[:size].reshape(n, -1), term[:size].reshape(n, -1)
         )
 
@@ -327,7 +319,7 @@ def _quotients_on(A: MatrixOperator, cols: np.ndarray) -> np.ndarray:
         return _diagonal_quotients(A.diagonal, mu)[cols]
     colsums = np.empty(cols.size)
     for lo, hi, block in _column_blocks(A, cols):
-        colsums[lo:hi] = _weighted_abs_colsums(block, mu)[: hi - lo]
+        colsums[lo:hi] = _weighted_abs_colsums(block, mu)
     return colsums / mu[cols]
 
 
@@ -353,12 +345,16 @@ def _diagonal_quotients(d: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def _weighted_abs_colsums(block: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Column sums sum_i |block[..., i, j]| mu[..., i] of a block or a stack.
 
-    The rows are added top to bottom: numpy adds the rows of a C-contiguous
-    array of two or more columns one after another.  A writable block is
-    scratch and is overwritten; a read-only one (kept entries) is copied.
+    The rows are added top to bottom, whatever the width: numpy adds the
+    rows of a C-contiguous array of two or more columns one after another,
+    but reduces a lone column pairwise, so a lone column is summed by a
+    cumulative sum instead.  A writable block is scratch and is
+    overwritten; a read-only one (kept entries) is copied.
     """
     weighted = np.abs(block, out=block if block.flags.writeable else None, order="C")
     weighted *= mu[..., :, None]
+    if weighted.shape[-1] == 1:
+        return np.cumsum(weighted, axis=-2)[..., -1, :]
     return np.add.reduce(weighted, axis=-2)
 
 
@@ -381,10 +377,9 @@ def _upper_bound_on(A: MatrixOperator, p: float, cols: np.ndarray) -> float:
     colsums = np.empty(cols.size)
     rowsums = np.zeros(A.dimension)
     for lo, hi, block in _column_blocks(A, cols):
-        absb = block[:, : hi - lo]
-        np.abs(absb, out=absb)
-        colsums[lo:hi] = w @ absb
-        rowsums += absb @ (1.0 / w[cols[lo:hi]])
+        np.abs(block, out=block)
+        colsums[lo:hi] = w @ block
+        rowsums += block @ (1.0 / w[cols[lo:hi]])
     norm_1 = float(np.max(colsums / w[cols]))
     norm_inf = float(np.max(w * rowsums))
     return norm_1 ** (1.0 / p) * norm_inf ** (1.0 - 1.0 / p)
@@ -551,24 +546,18 @@ class FunctionKernel:
         return len(self.pairs)
 
     @classmethod
-    def random_polynomial(
-        cls,
-        rank: int,
-        seed: int,
-        degree: int = 2,
-        coeff_range: tuple[float, float] = (-1.0, 1.0),
-    ) -> "FunctionKernel":
-        """Seeded kernel with polynomial factors.
+    def random_polynomial(cls, rank: int, seed: int) -> "FunctionKernel":
+        """Seeded kernel with polynomial factors of degree _KERNEL_DEGREE.
 
-        Coefficients are drawn i.i.d. uniform on ``coeff_range`` from
-        numpy's PCG64 generator seeded with (seed,), in the fixed order
-        (eta_1, g_1, eta_2, g_2, ...), so the kernel is reproducible.
+        Coefficients are drawn i.i.d. uniform on [-1, 1) from numpy's PCG64
+        generator seeded with (seed,), in the fixed order (eta_1, g_1,
+        eta_2, g_2, ...), so the kernel is reproducible.
         """
         rng = np.random.default_rng(seed)
         pairs = []
         for _ in range(rank):
-            eta_c = rng.uniform(*coeff_range, degree + 1)
-            g_c = rng.uniform(*coeff_range, degree + 1)
+            eta_c = rng.uniform(-1.0, 1.0, _KERNEL_DEGREE + 1)
+            g_c = rng.uniform(-1.0, 1.0, _KERNEL_DEGREE + 1)
             pairs.append((np.polynomial.Polynomial(eta_c), np.polynomial.Polynomial(g_c)))
         return cls(pairs)
 

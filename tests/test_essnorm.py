@@ -524,7 +524,29 @@ class TestSupportVerification:
             blocks.clear()
             assert verify_certificate(cert, u, K, p)
             size = support(cert.witness).size
-            assert len(blocks) <= math.ceil(size / 64) + 1, (size, len(blocks))
+            assert len(blocks) == math.ceil(size / 64), (size, len(blocks))
+            assert all(cols.size <= 64 for cols, *_ in blocks), size
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_zero_or_non_finite_witness_is_rejected(self, p):
+        u, kernel = diffuse_problem(7, 3)
+        K = kernel.discretize(u.space)
+        n = u.space.dimension
+        genuine = witness_lower_bound(u, K, 0.1, p)
+        assert verify_certificate(genuine, u, K, p)
+        if p == 1.0:
+            pinched = pinching_lower_bound(u, K)
+            assert verify_certificate(pinched, u, K, p)
+        zero = StepFunction(np.zeros(n), u.space)
+        nan_last = StepFunction(np.r_[np.zeros(n - 1), np.nan], u.space)
+        for g in (zero, nan_last):
+            for construction in (WITNESS_PAIR, PINCHING_DIAGONAL):
+                # 1.05 lies below the upper bound of the last column alone
+                # (1.37 at p = 1.5, 1.19 at p = 2), so only the witness
+                # checks can reject it
+                for bound in (0.0, genuine.bound, 1.05):
+                    cert = LowerBoundCertificate(bound, g, construction)
+                    assert not verify_certificate(cert, u, K, p), (construction, bound)
 
     def test_level_16_run_within_budget(self):
         raw = json.loads((CONFIGS / "diffuse_witness.json").read_text())
@@ -558,6 +580,42 @@ class TestQnDecayProfile:
         profile = qn_decay_profile(K)
         assert profile[-1] == 0.0
         assert profile[0] == opnorm_p1(K)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 65, 129])
+    def test_matches_masked_dense_copies(self, n):
+        # Q_n K as a dense copy of K with its first n rows zeroed, one
+        # operator per n, and its exact L1 norm
+        rng = np.random.default_rng([17, n])
+        space = build_space(rng.uniform(0.1, 2.0, n))
+        dense = MatrixOperator(rng.uniform(-1.0, 1.0, (n, n)), space)
+        factors = (rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(-1.0, 1.0, (n, 3)))
+        factored = MatrixOperator(None, space, factors=factors)
+        with_diag = MatrixOperator(None, space, factors=factors, diag=rng.uniform(-1.0, 1.0, n))
+        for K in (dense, factored, with_diag):
+            masked_norms = []
+            for k in range(n + 1):
+                masked = K.entries.copy()
+                masked[:k, :] = 0.0
+                masked_norms.append(opnorm_p1(MatrixOperator(masked, space)))
+            for n_max in range(n + 1):
+                profile = qn_decay_profile(K, n_max)
+                assert list(map(float.hex, profile)) == list(map(float.hex, masked_norms[: n_max + 1]))
+
+    def test_builds_no_operator(self, monkeypatch):
+        K = FunctionKernel.random_polynomial(3, 7).discretize(
+            build_space(diffuse_interval=(0.0, 1.0), diffuse_level=6)
+        )
+        built = []
+        init = MatrixOperator.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MatrixOperator, "__init__", spy)
+        profile = qn_decay_profile(K)
+        assert len(profile) == K.dimension + 1 and profile[-1] == 0.0
+        assert built == []
 
     def test_n_max_validation(self):
         K = MatrixOperator.zero(unit_atoms(3))

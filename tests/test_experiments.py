@@ -596,3 +596,17 @@ class TestTrialScenarios:
         for t in range(k):
             A = MatrixOperator(kept[t], build_space(mu[t]))
             assert opnorm_p1(A) == float(np.max(expected[t] / mu[t]))
+
+    def test_lone_column_sums_match_cumsum(self):
+        # a lone column of 2^16 rows, on which numpy's pairwise reduction
+        # of the same values differs from the top-to-bottom sum
+        rng = np.random.default_rng(16)
+        mu = rng.uniform(0.1, 2.0, 2**16)
+        block = rng.uniform(-1.0, 1.0, (2**16, 1)) * 10.0 ** rng.integers(-8, 9, (2**16, 1))
+        weighted = np.abs(block) * mu[:, None]
+        expected = np.cumsum(weighted, axis=-2)[..., -1, :]
+        assert bits(np.add.reduce(weighted, axis=-2)).tolist() != bits(expected).tolist()
+        kept = block.copy()
+        kept.setflags(write=False)
+        np.testing.assert_array_equal(bits(_weighted_abs_colsums(kept, mu)), bits(expected))
+        np.testing.assert_array_equal(bits(_weighted_abs_colsums(block, mu)), bits(expected))

@@ -671,8 +671,9 @@ class TestSupportColumns:
                 assert _upper_bound_on(A, 1.0, cols) == float(np.max(full[cols]))
 
     def test_kept_entries_gathered(self):
-        # an operator whose entries were built streams gathered columns
-        # from them, copied, and leaves the kept array untouched
+        # an operator whose entries were built still rebuilds gathered
+        # columns from its parts, bit for bit, and leaves the kept array
+        # untouched
         space = FACTORED_SPACES[3]
         A = support_cases(space)[1]
         full = p1_column_quotients(A)
