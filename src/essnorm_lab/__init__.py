@@ -23,7 +23,7 @@ from .lattice import (
     modulus,
     regular_norm,
 )
-from .lpspace import StepFunction, from_standard, norm_p, normalized_indicator, to_standard
+from .lpspace import StepFunction, norm_p, normalized_indicator
 from .measure import MeasureSpace, TailDescriptor, build_space
 from .operators import (
     FunctionKernel,
@@ -34,7 +34,6 @@ from .operators import (
     opnorm_p1,
     opnorm_upper_bound,
     pinch,
-    projections,
     rank_one_atomic_offdiag,
     rank_one_diffuse,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "centre_project",
     "diagonal_compactification",
     "essential_norm",
-    "from_standard",
     "join",
     "meet",
     "modulus",
@@ -69,12 +67,10 @@ __all__ = [
     "opnorm_upper_bound",
     "pinch",
     "pinching_lower_bound",
-    "projections",
     "qn_decay_profile",
     "rank_one_atomic_offdiag",
     "rank_one_diffuse",
     "regular_norm",
-    "to_standard",
     "truncation_perturbation",
     "verify_certificate",
     "witness_lower_bound",

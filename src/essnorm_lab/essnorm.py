@@ -26,14 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .lpspace import StepFunction, norm_p, normalized_indicator
+from .lpspace import StepFunction, _weighted_abs_colsums, norm_p, normalized_indicator
 from .measure import MeasureSpace, TailDescriptor
 from .operators import (
     MatrixOperator,
     MultiplicationOperator,
     _quotients_on,
     _upper_bound_on,
-    _weighted_abs_colsums,
     mult_op,
     p1_column_quotients,
 )

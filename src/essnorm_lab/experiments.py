@@ -48,7 +48,7 @@ from .essnorm import (
     witness_lower_bound,
 )
 from .lattice import centre_decay_under_refinement, join, meet, modulus
-from .lpspace import StepFunction
+from .lpspace import StepFunction, _weighted_abs_colsums
 from .measure import _TAIL_KINDS as _TAIL_PARAMS
 from .measure import TailDescriptor, build_space
 from .operators import (
@@ -57,7 +57,6 @@ from .operators import (
     MultiplicationOperator,
     _diagonal_quotients,
     _pinched,
-    _weighted_abs_colsums,
     mult_op,
     opnorm_p1,
     rank_one_diffuse,

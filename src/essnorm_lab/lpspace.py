@@ -2,9 +2,7 @@
 
 A step function is a coefficient vector with one entry per coordinate
 (atoms first, then diffuse cells): the a.e. value of the function on that
-piece.  Norms are the weighted p-norms (sum |f_i|^p mu_i)^(1/p); the maps
-``to_standard`` / ``from_standard`` implement the isometry onto the
-unweighted sequence space, f_i -> f_i * mu_i^(1/p).
+piece.  Norms are the weighted p-norms (sum |f_i|^p mu_i)^(1/p).
 """
 
 from __future__ import annotations
@@ -18,27 +16,29 @@ from .measure import MeasureSpace
 
 __all__ = [
     "StepFunction",
-    "sum_ltr",
     "norm_p",
     "normalized_indicator",
-    "to_standard",
-    "from_standard",
 ]
 
 
-def sum_ltr(values: Iterable[float]) -> float:
-    """Sum floats strictly left to right.
+def _weighted_abs_colsums(block: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Column sums sum_i |block[..., i, j]| mu[..., i] of a block or a stack.
 
-    Every p = 1 quantity in the package funnels through this fixed
-    accumulation order, so exact-equality checks are reproducible and the
-    monotonicity of partial sums under dropping nonnegative terms is
-    preserved in floating point.
+    Every p = 1 sum in the package goes through here: the column blocks of
+    exact operator norms, stacks of trial matrices, ``norm_p`` at p = 1 (a
+    vector as one column) and the mass of ``normalized_indicator``.  The
+    rows are added top to bottom, whatever the width, so exact-equality
+    checks are reproducible and dropping rows can only lower a sum, in
+    floating point too: numpy adds the rows of a C-contiguous array of two
+    or more columns one after another, but reduces a lone column pairwise,
+    so a lone column is summed by a cumulative sum instead.  A writable
+    block is scratch and is overwritten; a read-only one is copied.
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return 0.0
-    # cumsum accumulates sequentially, unlike np.sum's pairwise scheme
-    return float(np.cumsum(arr)[-1])
+    weighted = np.abs(block, out=block if block.flags.writeable else None, order="C")
+    weighted *= mu[..., :, None]
+    if weighted.shape[-1] == 1:
+        return np.cumsum(weighted, axis=-2)[..., -1, :]
+    return np.add.reduce(weighted, axis=-2)
 
 
 def _check_p(p: float) -> float:
@@ -131,10 +131,9 @@ def norm_p(f: StepFunction, p: float) -> float:
     """
     p = _check_p(p)
     mu = f.space.masses
-    absf = np.abs(f.coefficients)
     if p == 1.0:
-        return sum_ltr(absf * mu)
-    total = float(np.sum(absf**p * mu))
+        return float(_weighted_abs_colsums(f.coefficients[:, None], mu)[0])
+    total = float(np.sum(np.abs(f.coefficients) ** p * mu))
     return total ** (1.0 / p)
 
 
@@ -152,7 +151,7 @@ def normalized_indicator(
         raise ValueError("index set must be nonempty")
     if indices[0] < 0 or indices[-1] >= space.dimension:
         raise ValueError(f"index out of range for dimension {space.dimension}")
-    mass = sum_ltr(space.masses[indices])
+    mass = float(_weighted_abs_colsums(np.ones((len(indices), 1)), space.masses[indices])[0])
     if p == 1.0:
         c = 1.0 / mass
     else:
@@ -160,16 +159,3 @@ def normalized_indicator(
     coeffs = np.zeros(space.dimension)
     coeffs[indices] = c
     return StepFunction(coeffs, space)
-
-
-def to_standard(f: StepFunction, p: float) -> np.ndarray:
-    """Coordinates of f under the isometry onto the unweighted p-space."""
-    p = _check_p(p)
-    return f.coefficients * f.space.masses ** (1.0 / p)
-
-
-def from_standard(values: Sequence[float], space: MeasureSpace, p: float) -> StepFunction:
-    """Inverse of :func:`to_standard`."""
-    p = _check_p(p)
-    values = np.asarray(values, dtype=float)
-    return StepFunction(values / space.masses ** (1.0 / p), space)

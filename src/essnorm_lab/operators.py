@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .lpspace import StepFunction, _check_p
+from .lpspace import StepFunction, _check_p, _weighted_abs_colsums
 from .measure import MeasureSpace
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "p1_column_quotients",
     "opnorm_estimate",
     "pinch",
-    "projections",
 ]
 
 # width of the column blocks that exact norms stream over: n x 64 floats
@@ -212,22 +211,6 @@ class MatrixOperator:
                 return MatrixOperator(a._dense, self.space, diag=b._diag, factors=a._factors)
         return MatrixOperator(self.entries + other.entries, self.space)
 
-    def __sub__(self, other: "MatrixOperator") -> "MatrixOperator":
-        self._same_space(other)
-        return MatrixOperator(self.entries - other.entries, self.space)
-
-    def __neg__(self) -> "MatrixOperator":
-        return MatrixOperator(-self.entries, self.space)
-
-    def __mul__(self, scalar: float) -> "MatrixOperator":
-        return MatrixOperator(self.entries * float(scalar), self.space)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "MatrixOperator") -> "MatrixOperator":
-        self._same_space(other)
-        return MatrixOperator(self.entries @ other.entries, self.space)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dimension})"
 
@@ -342,22 +325,6 @@ def _diagonal_quotients(d: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.abs(d) * mu / mu
 
 
-def _weighted_abs_colsums(block: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Column sums sum_i |block[..., i, j]| mu[..., i] of a block or a stack.
-
-    The rows are added top to bottom, whatever the width: numpy adds the
-    rows of a C-contiguous array of two or more columns one after another,
-    but reduces a lone column pairwise, so a lone column is summed by a
-    cumulative sum instead.  A writable block is scratch and is
-    overwritten; a read-only one (kept entries) is copied.
-    """
-    weighted = np.abs(block, out=block if block.flags.writeable else None, order="C")
-    weighted *= mu[..., :, None]
-    if weighted.shape[-1] == 1:
-        return np.cumsum(weighted, axis=-2)[..., -1, :]
-    return np.add.reduce(weighted, axis=-2)
-
-
 def opnorm_p1(A: MatrixOperator) -> float:
     """Exact operator norm of A on weighted L1."""
     return float(np.max(p1_column_quotients(A)))
@@ -396,6 +363,11 @@ def opnorm_upper_bound(A: MatrixOperator, p: float) -> float:
     """
     return _upper_bound_on(A, _check_p(p), np.arange(A.dimension))
 
+
+# the block ascent's step budget, and its relative tolerance on a
+# quotient's change between steps
+_MAX_ITER = 100
+_TOL = 1e-12
 
 # termination reasons of the block ascent, in the order its exit tests run
 _REASONS = np.array(["zero", "stationary", "converged", "max_iter"])
@@ -447,7 +419,7 @@ def _block_ascent(B: np.ndarray, p: float, max_iter: int, tol: float) -> tuple[n
     return best, _REASONS[reason]
 
 
-def opnorm_estimate(A: MatrixOperator, p: float, *, max_iter: int = 100, tol: float = 1e-12) -> float:
+def opnorm_estimate(A: MatrixOperator, p: float) -> float:
     """Certified lower bound for the operator norm of A on weighted L_p.
 
     The weighted problem is mapped isometrically to the unweighted sequence
@@ -467,7 +439,7 @@ def opnorm_estimate(A: MatrixOperator, p: float, *, max_iter: int = 100, tol: fl
     best = float(np.max(np.abs(np.diag(A.entries))))
     # first iterate of every indicator seed, computed directly
     best = max(best, float(np.max(_colnorms(B, p))))
-    values, _ = _block_ascent(B, p, max_iter, tol)
+    values, _ = _block_ascent(B, p, _MAX_ITER, _TOL)
     return max(best, float(np.max(values)))
 
 
@@ -501,28 +473,6 @@ def _pinched(entries: np.ndarray, block_id: np.ndarray) -> np.ndarray:
     copied unchanged.
     """
     return np.where(block_id[..., :, None] == block_id[..., None, :], entries, 0.0)
-
-
-def projections(
-    space: MeasureSpace, n: int
-) -> tuple[list[MultiplicationOperator], MultiplicationOperator]:
-    """Coordinate projections P_1..P_n and the tail projection Q_n.
-
-    P_j keeps only the j-th coordinate (multiplication by the indicator of
-    the j-th atom/cell); Q_n = I - sum_j P_j keeps everything after the
-    first n coordinates.  The identity sum P_j + Q_n = I holds exactly.
-    """
-    n = int(n)
-    if not 0 <= n <= space.dimension:
-        raise ValueError(f"n must lie in [0, {space.dimension}], got {n}")
-    ps = []
-    for j in range(n):
-        e = np.zeros(space.dimension)
-        e[j] = 1.0
-        ps.append(MultiplicationOperator(e, space))
-    tail = np.ones(space.dimension)
-    tail[:n] = 0.0
-    return ps, MultiplicationOperator(tail, space)
 
 
 class FunctionKernel:

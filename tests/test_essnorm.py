@@ -38,7 +38,6 @@ from essnorm_lab.operators import (
     opnorm_p1,
     opnorm_upper_bound,
     p1_column_quotients,
-    projections,
     rank_one_diffuse,
 )
 
@@ -120,21 +119,23 @@ class TestDiagonalCompactification:
         space = unit_atoms(4)
         K = MatrixOperator(rng.uniform(-1, 1, (4, 4)), space)
         L = MatrixOperator(rng.uniform(-1, 1, (4, 4)), space)
-        left = diagonal_compactification(2.0 * K + 3.0 * L).u_values
+        combo = MatrixOperator(2.0 * K.entries + 3.0 * L.entries, space)
+        left = diagonal_compactification(combo).u_values
         right = 2.0 * diagonal_compactification(K).u_values + 3.0 * diagonal_compactification(L).u_values
         np.testing.assert_allclose(left, right, rtol=1e-15)
         D = diagonal_compactification(K)
         np.testing.assert_array_equal(diagonal_compactification(D).entries, D.entries)
 
     def test_compression_identity(self):
-        # P_n K P_n = d_n P_n as operators, with d_n the diagonal entry
+        # P_n K P_n = d_n P_n, with P_n the n-th coordinate projection and
+        # d_n the n-th diagonal scalar of D_K
         rng = np.random.default_rng(63)
         space = build_space(rng.uniform(0.1, 2.0, 4))
         K = MatrixOperator(rng.uniform(-1, 1, (4, 4)), space)
-        ps, _ = projections(space, 4)
-        for n, P in enumerate(ps):
-            compressed = (P @ K @ P).entries
-            np.testing.assert_array_equal(compressed, K.entries[n, n] * P.entries)
+        d = diagonal_compactification(K).u_values
+        for n in range(4):
+            P = np.diag(np.eye(4)[n])
+            np.testing.assert_array_equal(P @ K.entries @ P, d[n] * P)
 
 
 class TestPinchingLowerBound:
@@ -731,7 +732,7 @@ class TestTruncationPerturbation:
     def test_matches_projection_construction(self):
         problem = harmonic_problem(12)
         u = problem.u_step()
-        _, q = projections(u.space, 5)
-        identity = MatrixOperator.identity(u.space)
-        direct = (-1.0) * (mult_op(u) @ (identity - q))
-        np.testing.assert_array_equal(truncation_perturbation(u, 5).entries, direct.entries)
+        # -M_u (I - Q_5), with Q_5 zeroing the first 5 coordinates
+        head = np.diag((np.arange(u.space.dimension) < 5).astype(float))
+        direct = -(mult_op(u).entries @ head)
+        np.testing.assert_array_equal(truncation_perturbation(u, 5).entries, direct)

@@ -20,8 +20,9 @@ from essnorm_lab.experiments import (
     run_scenario,
 )
 from essnorm_lab.lattice import join, meet, modulus
+from essnorm_lab.lpspace import _weighted_abs_colsums
 from essnorm_lab.measure import build_space
-from essnorm_lab.operators import MatrixOperator, _weighted_abs_colsums, opnorm_p1, pinch
+from essnorm_lab.operators import MatrixOperator, opnorm_p1, pinch
 
 
 def atomic_limsup_config(n=50, kmax=20):

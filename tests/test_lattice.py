@@ -174,7 +174,8 @@ class TestCentreProject:
         again = centre_project(PS)
         np.testing.assert_array_equal(again.centre_part.entries, PS.entries)
         np.testing.assert_array_equal(again.disjoint_part.entries, np.zeros((4, 4)))
-        left = centre_project(2.0 * S + (-3.0) * T).centre_part.entries
+        combo = MatrixOperator(2.0 * S.entries + (-3.0) * T.entries, space)
+        left = centre_project(combo).centre_part.entries
         right = 2.0 * PS.entries + (-3.0) * centre_project(T).centre_part.entries
         np.testing.assert_allclose(left, right, rtol=1e-15)
 
