@@ -50,7 +50,7 @@ from .essnorm import (
 from .lattice import centre_decay_under_refinement, join, meet, modulus
 from .lpspace import StepFunction, _weighted_abs_colsums
 from .measure import _TAIL_KINDS as _TAIL_PARAMS
-from .measure import TailDescriptor, build_space
+from .measure import MeasureSpace, TailDescriptor, build_space
 from .operators import (
     FunctionKernel,
     MatrixOperator,
@@ -445,6 +445,13 @@ class ExperimentConfig:
                 raise ConfigError(path, f"{spec['kind']} gives {size} coordinates for {atoms} atoms")
         if self.n_max is not None and self.n_max > atoms:
             raise ConfigError("n_max", f"n_max exceeds the dimension {atoms}")
+        interval = _lookup(self, "space.interval")
+        if interval is not None:
+            # cells are smallest at the sweep's last level and no larger than b - a
+            try:
+                MeasureSpace(diffuse_interval=tuple(interval), diffuse_level=self.levels[1])
+            except ValueError as e:
+                raise ConfigError("space.interval", str(e)) from None
         # |formula| is largest at the last parameter of the sweep
         last = self.levels[1] if self.levels else (atoms if self.n_max is None else self.n_max)
         if self.formula is not None and not math.isfinite(_eval_formula(self.formula, last)):

@@ -76,23 +76,13 @@ class StepFunction:
         return cls(np.full(space.dimension, float(value)), space)
 
     @classmethod
-    def from_function(
-        cls,
-        space: MeasureSpace,
-        fn: Callable[[np.ndarray], np.ndarray],
-        atom_values: Sequence[float] | None = None,
-    ) -> "StepFunction":
+    def from_function(cls, space: MeasureSpace, fn: Callable[[np.ndarray], np.ndarray]) -> "StepFunction":
         """Discretize a function on the diffuse interval by cell averaging.
 
-        Atom coordinates take the given ``atom_values`` (default 0), since a
-        function of the interval variable says nothing about the atoms.
+        Atom coordinates are 0, since a function of the interval variable
+        says nothing about the atoms.
         """
         coeffs = np.zeros(space.dimension)
-        if atom_values is not None:
-            atom_values = np.asarray(atom_values, dtype=float)
-            if atom_values.size != space.n_atoms:
-                raise ValueError("atom_values length does not match the atom count")
-            coeffs[: space.n_atoms] = atom_values
         if space.has_diffuse:
             coeffs[space.n_atoms :] = space.cell_averages(fn)
         return cls(coeffs, space)

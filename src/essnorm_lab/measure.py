@@ -131,8 +131,8 @@ class MeasureSpace:
     ``atom_masses`` lists the strictly positive masses of the stored atoms;
     ``atom_tail`` describes atoms beyond the stored prefix symbolically.
     ``diffuse_interval`` is the support (a, b) of the diffuse part, split
-    into ``2**diffuse_level`` equal cells, or None for a purely atomic
-    space.
+    into ``2**diffuse_level`` equal cells of positive, finite mass, or None
+    for a purely atomic space.
     """
 
     atom_masses: tuple[float, ...] = ()
@@ -163,6 +163,11 @@ class MeasureSpace:
         if self.diffuse_interval is None and level != 0:
             raise ValueError("diffuse level given without a diffuse interval")
         object.__setattr__(self, "diffuse_level", level)
+        if self.has_diffuse and not 0.0 < self.cell_mass < math.inf:
+            raise ValueError(
+                f"diffuse cells need a positive, finite mass; (b - a) / 2**{level} "
+                f"is {self.cell_mass} on {self.diffuse_interval}"
+            )
 
         if self.dimension == 0:
             raise ValueError("space must contain at least one atom or a diffuse part")
@@ -191,7 +196,9 @@ class MeasureSpace:
         if not self.has_diffuse:
             raise ValueError("purely atomic space has no cells")
         a, b = self.diffuse_interval
-        return (b - a) / 2**self.diffuse_level
+        # ldexp rounds as the division by 2**level does, and underflows to 0
+        # where converting 2**level to a float would overflow
+        return math.ldexp(b - a, -self.diffuse_level)
 
     @cached_property
     def masses(self) -> np.ndarray:
@@ -254,7 +261,8 @@ def build_space(
     """Construct a MeasureSpace, validating every invariant.
 
     Raises ValueError for non-positive atom masses, an interval with
-    b <= a, or a negative refinement level.
+    b <= a, a negative refinement level, or cells whose common mass
+    (b - a) / 2**level is not positive and finite.
     """
     return MeasureSpace(
         atom_masses=tuple(atom_masses),

@@ -113,38 +113,33 @@ class MatrixOperator:
     def _diagonal_only(self) -> bool:
         return self._dense is None and self._factors is None
 
-    def _columns(
-        self, cols: np.ndarray, out: np.ndarray | None = None, term: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _columns(self, cols: np.ndarray, out: np.ndarray, term: np.ndarray) -> np.ndarray:
         """Columns ``cols`` of the matrix, a strictly increasing index array,
-        built from the parts.
-
-        The block is built in ``out`` with ``term`` as scratch, both
-        C-contiguous n x len(cols) arrays that are allocated when not given.
+        built from the parts in ``out`` with ``term`` as scratch, both
+        C-contiguous n x len(cols) arrays.  Returns ``out``.
         """
         # a run of consecutive columns is read through a slice, which numpy
         # copies faster than a gather
         run = cols[-1] - cols[0] == cols.size - 1
         sel = slice(cols[0], cols[-1] + 1) if run else cols
-        block = np.zeros((self.dimension, cols.size)) if out is None else out
         if self._dense is not None:
-            np.copyto(block, self._dense[:, sel])
-        elif out is not None:
-            block.fill(0.0)
+            np.copyto(out, self._dense[:, sel])
+        else:
+            out.fill(0.0)
         if self._factors is not None:
-            term = np.empty(block.shape) if term is None else term
             for g, e in zip(self._factors[0].T, self._factors[1].T):
                 np.multiply(g[:, None], e[None, sel], out=term)
-                block += term
+                out += term
         if self._diag is not None:
-            block[cols, np.arange(cols.size)] += self._diag[sel]
-        return block
+            out[cols, np.arange(cols.size)] += self._diag[sel]
+        return out
 
     @property
     def entries(self) -> np.ndarray:
         """The n x n matrix, built on first access and kept (read-only)."""
         if self._entries is None:
-            arr = self._columns(np.arange(self.dimension))
+            n = self.dimension
+            arr = self._columns(np.arange(n), np.empty((n, n)), np.empty((n, n)))
             arr.setflags(write=False)
             self._entries = arr
         return self._entries
@@ -259,7 +254,8 @@ def rank_one_atomic_offdiag(j: int, eta: StepFunction) -> MatrixOperator:
     Only row j is nonzero and its diagonal entry vanishes, so the operator
     is disjoint from every multiplication operator.  Defined on purely
     atomic spaces only: the construction integrates over the complement of
-    a single atom.
+    a single atom.  Held as its factors e_j and eta * mu with entry j set
+    to 0.
     """
     space = eta.space
     if space.has_diffuse:
@@ -268,10 +264,10 @@ def rank_one_atomic_offdiag(j: int, eta: StepFunction) -> MatrixOperator:
     if not 0 <= j < space.dimension:
         raise ValueError(f"atom index {j} out of range for dimension {space.dimension}")
     row = eta.coefficients * space.masses
-    entries = np.zeros((space.dimension, space.dimension))
-    entries[j, :] = row
-    entries[j, j] = 0.0
-    return MatrixOperator(entries, space)
+    row[j] = 0.0
+    e_j = np.zeros(space.dimension)
+    e_j[j] = 1.0
+    return MatrixOperator(None, space, factors=(e_j[:, None], row[:, None]))
 
 
 def _column_blocks(A: MatrixOperator, cols: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:

@@ -197,6 +197,21 @@ class TestRunErrorsCaughtAtParse:
         del raw["n_max"]
         assert_refused(tmp_path, raw, "formula")
 
+    @pytest.mark.parametrize("name", ["diffuse_witness", "rankone_centre_decay"])
+    @pytest.mark.parametrize("interval", [[-1e308, 1e308], [0.0, 5e-324]], ids=["inf", "zero"])
+    def test_cell_mass_not_positive_and_finite(self, tmp_path, name, interval):
+        # b - a overflows to inf, or (b - a) / 2**level underflows to 0
+        raw = shipped(name, levels=[1, 2])
+        raw["space"]["interval"] = interval
+        assert_refused(tmp_path, raw, "space.interval")
+
+    def test_cell_mass_checked_at_last_level(self, tmp_path):
+        raw = shipped("rankone_centre_decay", levels=[0, 2])
+        raw["space"]["interval"] = [0.0, 2e-323]  # 4 times the least subnormal
+        assert_accepted(tmp_path, raw)
+        raw["levels"] = [0, 3]
+        assert_refused(tmp_path, raw, "space.interval")
+
     @pytest.mark.parametrize("section", [None, "perturbation"])
     def test_negative_seed(self, tmp_path, section):
         raw = shipped("diffuse_witness")

@@ -1,4 +1,5 @@
-"""The README's library table names only what the modules define."""
+"""The README's library table and the package's exports agree with each
+module's ``__all__``, the one list of its public names."""
 
 import importlib
 import re
@@ -6,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import essnorm_lab
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the modules the package re-exports, in the order of its __all__
+PACKAGE_MODULES = ["essnorm", "lattice", "lpspace", "measure", "operators"]
 
 
 def library_table():
@@ -38,3 +44,16 @@ def test_table_names_resolve(module, names):
         for part in name.split("."):
             assert hasattr(obj, part), f"README names `{name}`, which essnorm_lab.{module} lacks"
             obj = getattr(obj, part)
+
+
+@pytest.mark.parametrize("module,names", ROWS, ids=[module for module, _ in ROWS])
+def test_table_lists_every_public_name(module, names):
+    missing = set(importlib.import_module(f"essnorm_lab.{module}").__all__) - set(names)
+    assert not missing, f"the README's {module} row leaves out {sorted(missing)}"
+
+
+def test_package_exports_its_modules_all():
+    expected = [name for m in PACKAGE_MODULES for name in getattr(essnorm_lab, m).__all__]
+    assert essnorm_lab.__all__ == expected
+    for name in expected:
+        assert hasattr(essnorm_lab, name), name

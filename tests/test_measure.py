@@ -36,6 +36,21 @@ class TestBuildSpace:
         with pytest.raises(ValueError, match="positive length"):
             build_space(diffuse_interval=(0.5, 0.5))
 
+    @pytest.mark.parametrize(
+        "interval, level",
+        [((-1e308, 1e308), 0), ((0.0, 5e-324), 1), ((0.0, 1.0), 1100)],
+        ids=["inf", "zero", "deep"],
+    )
+    def test_cell_mass_not_positive_and_finite_rejected(self, interval, level):
+        with pytest.raises(ValueError, match="positive, finite mass"):
+            build_space(diffuse_interval=interval, diffuse_level=level)
+
+    def test_refine_below_least_cell_mass_rejected(self):
+        space = build_space(diffuse_interval=(0.0, 5e-324))
+        assert space.cell_mass == 5e-324
+        with pytest.raises(ValueError, match="positive, finite mass"):
+            space.refine()
+
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):
             build_space(())

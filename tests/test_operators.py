@@ -518,7 +518,8 @@ SMALL_SPACES = [
 
 def symbol(space, seed):
     atoms = np.random.default_rng(seed).uniform(-2.0, 2.0, space.n_atoms)
-    return StepFunction.from_function(space, lambda x: x, atom_values=atoms)
+    cells = StepFunction.from_function(space, lambda x: x).coefficients[space.n_atoms :]
+    return StepFunction(np.concatenate([atoms, cells]), space)
 
 
 class TestFactoredOperators:
