@@ -369,8 +369,9 @@ _TOL = 1e-12
 _REASONS = np.array(["zero", "stationary", "converged", "max_iter"])
 
 
-def _colnorms(X: np.ndarray, p: float) -> np.ndarray:
-    return np.add.reduce(np.abs(X) ** p, axis=0) ** (1.0 / p)
+def _colnorms(aX: np.ndarray, p: float) -> np.ndarray:
+    """p-norms of the columns of X, given aX = |X|."""
+    return np.add.reduce(aX ** p, axis=0) ** (1.0 / p)
 
 
 def _block_ascent(B: np.ndarray, p: float, max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -381,9 +382,10 @@ def _block_ascent(B: np.ndarray, p: float, max_iter: int, tol: float) -> tuple[n
     still active, and each stops on its own at the first of: a zero image,
     dual stationarity (its iterate is a local maximizer), or a quotient
     within tol * max(quotient, 1) of the one before; else after max_iter
-    steps.  Returns per seed the best quotient |Bx|_p it attained, a true
-    lower bound for the induced p-norm of B, and why it stopped (one of
-    _REASONS).
+    steps.  The active columns are compacted only on a step where some
+    seed stops.  Returns per seed the best quotient |Bx|_p it attained, a
+    true lower bound for the induced p-norm of B, and why it stopped (one
+    of _REASONS).
     """
     n = B.shape[0]
     q = p / (p - 1.0)
@@ -392,26 +394,37 @@ def _block_ascent(B: np.ndarray, p: float, max_iter: int, tol: float) -> tuple[n
     best = np.zeros(n + 1)
     reason = np.full(n + 1, len(_REASONS) - 1)
     live = np.arange(n + 1)  # the seed of each column of X
-    prev = np.full(n + 1, -1.0)
+    top = np.zeros(n + 1)  # the best quotient of each live seed so far
+    prev = None
     for _ in range(max_iter):
         Y = B @ X
-        gamma = _colnorms(Y, p)
-        best[live] = np.maximum(best[live], gamma)
+        aY = np.abs(Y)
+        gamma = _colnorms(aY, p)
+        np.maximum(top, gamma, out=top)
         zero = gamma == 0.0
         # dual vectors of the images: |xi|_q = 1 and <xi, y> = |y|_p
-        Xi = np.sign(Y) * np.abs(Y) ** (p - 1.0) / np.where(zero, 1.0, gamma) ** (p - 1.0)
+        Xi = np.copysign(aY ** (p - 1.0), Y) / np.where(zero, 1.0, gamma) ** (p - 1.0)
         Z = B.T @ Xi
-        zeta = _colnorms(Z, q)
+        aZ = np.abs(Z)
+        zeta = _colnorms(aZ, q)
         stationary = zeta <= np.add.reduce(Z * X, axis=0) * (1.0 + 1e-14)
-        converged = (prev >= 0.0) & (np.abs(gamma - prev) <= tol * np.maximum(gamma, 1.0))
-        # the first exit test a seed meets is its reason; -1 keeps it going
-        code = np.where(zero, 0, np.where(stationary, 1, np.where(converged, 2, -1)))
-        go = code < 0
-        reason[live[~go]] = code[~go]
-        if not go.any():
-            break
-        live, prev, Z, zeta = live[go], gamma[go], Z[:, go], zeta[go]
-        X = np.sign(Z) * np.abs(Z) ** (q - 1.0) / zeta ** (q - 1.0)
+        stop = zero | stationary
+        if prev is not None:
+            stop |= np.abs(gamma - prev) <= tol * np.maximum(gamma, 1.0)
+        if stop.any():
+            # the first exit test a seed meets is its reason
+            done = live[stop]
+            reason[done] = np.where(zero, 0, np.where(stationary, 1, 2))[stop]
+            best[done] = top[stop]
+            go = ~stop
+            if not go.any():
+                return best, _REASONS[reason]
+            live, top, gamma, Z, aZ, zeta = live[go], top[go], gamma[go], Z[:, go], aZ[:, go], zeta[go]
+        prev = gamma
+        # Fortran order, the layout of a column-masked copy, so that B @ X
+        # rounds alike whether or not this step compacted the columns
+        X = np.copysign(aZ ** (q - 1.0), Z, order="F") / zeta ** (q - 1.0)
+    best[live] = top
     return best, _REASONS[reason]
 
 
@@ -419,24 +432,32 @@ def opnorm_estimate(A: MatrixOperator, p: float) -> float:
     """Certified lower bound for the operator norm of A on weighted L_p.
 
     The weighted problem is mapped isometrically to the unweighted sequence
-    space (B = W^{1/p} A W^{-1/p}) and a dual-ascent power method is run
-    from every normalized-indicator seed and from the all-ones seed, all
-    seeds as one block iteration, keeping the best attained quotient.  The
-    result is therefore at least max_j |A e_j|_p / |e_j|_p and at least
-    max_i |A_ii| (the norm of the diagonal part, attained by indicator
-    seeds in exact arithmetic, floored explicitly to keep the guarantee
-    under roundoff).  At p = 1 the exact norm is returned.
+    space (B = W^{1/p} A W^{-1/p}).  At p = 2 the induced norm is the
+    largest singular value of B, and the result is the quotient
+    |Bv|_2 / |v|_2 that B attains on its leading right singular vector v.
+    At every other p > 1 a dual-ascent power method is run from every
+    normalized-indicator seed and from the all-ones seed, all seeds as one
+    block iteration, keeping the best attained quotient.  Either way the
+    result is the quotient of an explicit vector, floored at
+    max_j |A e_j|_p / |e_j|_p and at max_i |A_ii| (the norm of the
+    diagonal part, attained by indicator seeds in exact arithmetic, floored
+    explicitly to keep the guarantee under roundoff).  A non-finite entry
+    of B raises ValueError.  At p = 1 the exact norm is returned.
     """
     p = _check_p(p)
     if p == 1.0:
         return opnorm_p1(A)
     w = A.space.masses ** (1.0 / p)
     B = (w[:, None] * A.entries) / w[None, :]
-    best = float(np.max(np.abs(np.diag(A.entries))))
-    # first iterate of every indicator seed, computed directly
-    best = max(best, float(np.max(_colnorms(B, p))))
+    if not np.isfinite(B).all():
+        raise ValueError("opnorm_estimate needs finite entries, got a non-finite one")
+    # the diagonal floor, and the first iterate of every indicator seed
+    floor = max(float(np.max(np.abs(np.diag(A.entries)))), float(np.max(_colnorms(np.abs(B), p))))
+    if p == 2.0:
+        v = np.linalg.svd(B)[2][0]
+        return max(floor, float(_colnorms(np.abs(B @ v), p) / _colnorms(np.abs(v), p)))
     values, _ = _block_ascent(B, p, _MAX_ITER, _TOL)
-    return max(best, float(np.max(values)))
+    return max(floor, float(np.max(values)))
 
 
 def pinch(A: MatrixOperator, blocks: Sequence[Sequence[int]]) -> MatrixOperator:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from essnorm_lab import operators
+from essnorm_lab.lattice import regular_norm
 from essnorm_lab.lpspace import StepFunction, norm_p, normalized_indicator
 from essnorm_lab.measure import build_space
 from essnorm_lab.operators import (
@@ -233,6 +235,33 @@ class TestOpnormEstimate:
                 if n > 0:
                     assert norm_p(A.apply(f), p) / n <= est * (1 + 1e-9) + 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_non_finite_entry_rejected(self, p, bad):
+        A = MatrixOperator([[1.0, bad], [0.0, 1.0]], build_space([1.0, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            opnorm_estimate(A, p)
+        with pytest.raises(ValueError, match="non-finite"):
+            regular_norm(A, p)
+
+    def test_non_finite_entry_at_p1_is_opnorm_p1s(self):
+        A = MatrixOperator([[1.0, np.nan], [0.0, 1.0]], build_space([1.0, 1.0]))
+        assert np.isnan(opnorm_estimate(A, 1.0)) and np.isnan(opnorm_p1(A))
+
+    def test_ascent_runs_only_at_p_other_than_1_and_2(self, monkeypatch):
+        seen = []
+        ascent = operators._block_ascent
+
+        def spy(B, p, max_iter, tol):
+            seen.append(p)
+            return ascent(B, p, max_iter, tol)
+
+        monkeypatch.setattr(operators, "_block_ascent", spy)
+        A = MatrixOperator(np.arange(9.0).reshape(3, 3), build_space((0.5, 1.0, 2.0)))
+        for p in (1.0, 1.5, 2.0, 3.0):
+            opnorm_estimate(A, p)
+        assert seen == [1.5, 3.0]
+
     def test_diagonal_floor(self):
         # max |A_ii| is a certified lower bound at every p
         rng = np.random.default_rng(33)
@@ -317,7 +346,13 @@ class TestBlockAscent:
             col_floor = float(np.max(np.sum(np.abs(B) ** p, axis=0) ** (1.0 / p)))
             est = opnorm_estimate(A, p)
             assert est >= diag_floor and est >= col_floor
-            assert est == pytest.approx(max(diag_floor, col_floor, float(np.max(expected))), rel=1e-13)
+            lower = max(diag_floor, col_floor, float(np.max(expected)))
+            if p == 2.0:
+                # the quotient of the leading singular vector: at least what
+                # the ascent reaches, at most the spectral norm
+                assert lower * (1.0 - 1e-15) <= est <= np.linalg.norm(B, 2) * (1.0 + 1e-13)
+            else:
+                assert est == pytest.approx(lower, rel=1e-13)
         return reasons
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -331,9 +366,15 @@ class TestBlockAscent:
         for p in (1.5, 2.0, 3.0) if level < 8 else (2.0,):
             self.check_against_reference(refine_operator(level), p)
 
+    def test_p2_reaches_spectral_norm_at_level_8(self):
+        # the ascent stops 2.0e-5 relative short here (0.9974364)
+        A = refine_operator(8)
+        est = opnorm_estimate(A, 2.0)
+        assert 0.99745 <= est <= np.linalg.norm(isometric_image(A, 2.0), 2) * (1.0 + 1e-13)
+
     def test_termination_reasons(self):
         # the level-8 refine operator: every seed is still climbing after
-        # max_iter steps, which is why the estimate stops short of the
+        # max_iter steps, which is why the ascent stops short of the
         # spectral norm
         A = refine_operator(8)
         _, reasons = _block_ascent(isometric_image(A, 2.0), 2.0, 100, 1e-12)
