@@ -132,7 +132,8 @@ class MeasureSpace:
     ``atom_tail`` describes atoms beyond the stored prefix symbolically.
     ``diffuse_interval`` is the support (a, b) of the diffuse part, split
     into ``2**diffuse_level`` equal cells of positive, finite mass, or None
-    for a purely atomic space.
+    for a purely atomic space.  ``dimension`` is the number of coordinates,
+    n_atoms + n_cells.
     """
 
     atom_masses: tuple[float, ...] = ()
@@ -169,6 +170,9 @@ class MeasureSpace:
                 f"is {self.cell_mass} on {self.diffuse_interval}"
             )
 
+        # the number of coordinates, atoms then cells: set once here rather
+        # than declared as a field, so equality, hash and repr are unchanged
+        object.__setattr__(self, "dimension", self.n_atoms + self.n_cells)
         if self.dimension == 0:
             raise ValueError("space must contain at least one atom or a diffuse part")
 
@@ -185,10 +189,6 @@ class MeasureSpace:
     @property
     def n_cells(self) -> int:
         return 2**self.diffuse_level if self.has_diffuse else 0
-
-    @property
-    def dimension(self) -> int:
-        return self.n_atoms + self.n_cells
 
     @property
     def cell_mass(self) -> float:

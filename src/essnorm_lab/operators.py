@@ -21,6 +21,8 @@ representation.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -371,78 +373,124 @@ _REASONS = np.array(["zero", "stationary", "converged", "max_iter"])
 
 def _colnorms(aX: np.ndarray, p: float) -> np.ndarray:
     """p-norms of the columns of X, given aX = |X|."""
-    return np.add.reduce(aX ** p, axis=0) ** (1.0 / p)
+    return np.add.reduce(aX ** p, 0) ** (1.0 / p)
 
 
-def _block_ascent(B: np.ndarray, p: float, max_iter: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _block_ascent(
+    B: np.ndarray, p: float, max_iter: int, tol: float, unit: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
     """The p-norm power method on B from every seed at once.
 
     The seeds are the columns of [1 | I], scaled to unit p-norm.  They
-    iterate together, one B @ X and one B.T @ Xi per step over the seeds
-    still active, and each stops on its own at the first of: a zero image,
-    dual stationarity (its iterate is a local maximizer), or a quotient
-    within tol * max(quotient, 1) of the one before; else after max_iter
-    steps.  The active columns are compacted only on a step where some
-    seed stops.  Returns per seed the best quotient |Bx|_p it attained, a
-    true lower bound for the induced p-norm of B, and why it stopped (one
-    of _REASONS).
+    iterate together, one B X and one B^T Xi per step over the seeds still
+    active, and each stops on its own at the first of: a zero image, dual
+    stationarity (its iterate is a local maximizer), or a quotient at most
+    tol * max(previous, unit) above the one before (the quotients rise in
+    exact arithmetic, so a fall is rounding and stops the seed too); else
+    after max_iter steps.
+
+    Each half-step takes one power.  t = |y|^(p-1) gives the dual vector
+    xi = sign(y) t, left unnormalized, and s = sum(t |y|) = |y|_p^p;
+    u = |z|^(q-1) gives the next iterate and |z|_q^q.  Since
+    <z, x> = <xi, Bx> = s, a seed is stationary when |z|_q <= s (1 + 1e-14).
+    The active columns are compacted, and zero images told apart, only on
+    a step where some seed stops.  Column sums run top to bottom
+    (np.add.reduce over axis 0, passed positionally, which is as fast as a
+    product with a ones vector here), so compaction leaves every column's
+    sums unchanged.
+
+    Returns per seed the best quotient |Bx|_p it attained, a true lower
+    bound for the induced p-norm of B, and why it stopped (one of
+    _REASONS).  Keep |B|_p at most about 1: |y|^p and |z|^q are formed
+    without rescaling and overflow beyond.  opnorm_estimate passes B / 2^e
+    with unit = 2^-e, which stops every seed where B itself would with
+    unit 1.
     """
     n = B.shape[0]
     q = p / (p - 1.0)
+    pm1, qm1, inv_p, inv_q = p - 1.0, q - 1.0, 1.0 / p, 1.0 / q
+    Bt = B.T
     X = np.hstack([np.ones((n, 1)), np.eye(n)])
     X /= _colnorms(X, p)
     best = np.zeros(n + 1)
     reason = np.full(n + 1, len(_REASONS) - 1)
     live = np.arange(n + 1)  # the seed of each column of X
-    top = np.zeros(n + 1)  # the best quotient of each live seed so far
-    prev = None
+    # a live seed's quotients rise by more than the tolerance at every step
+    # (else it stops), so its best is the last quotient, or on the step it
+    # stops the larger of the last two
+    gamma = np.zeros(n + 1)
+    bound = None  # the largest quotient that counts as converged, per live seed
     for _ in range(max_iter):
-        Y = B @ X
+        Y = np.dot(B, X)
         aY = np.abs(Y)
-        gamma = _colnorms(aY, p)
-        np.maximum(top, gamma, out=top)
-        zero = gamma == 0.0
-        # dual vectors of the images: |xi|_q = 1 and <xi, y> = |y|_p
-        Xi = np.copysign(aY ** (p - 1.0), Y) / np.where(zero, 1.0, gamma) ** (p - 1.0)
-        Z = B.T @ Xi
+        T = aY ** pm1
+        s = np.add.reduce(T * aY, 0)
+        prev, gamma = gamma, s ** inv_p
+        Z = np.dot(Bt, np.copysign(T, Y))
         aZ = np.abs(Z)
-        zeta = _colnorms(aZ, q)
-        stationary = zeta <= np.add.reduce(Z * X, axis=0) * (1.0 + 1e-14)
-        stop = zero | stationary
-        if prev is not None:
-            stop |= np.abs(gamma - prev) <= tol * np.maximum(gamma, 1.0)
-        if stop.any():
+        U = aZ ** qm1
+        r = np.add.reduce(U * aZ, 0)
+        # a zero image has s = 0 and z = 0, which this test stops
+        stationary = r ** inv_q <= s * (1.0 + 1e-14)
+        stop = stationary if bound is None else stationary | (gamma <= bound)
+        if np.count_nonzero(stop):
             # the first exit test a seed meets is its reason
             done = live[stop]
-            reason[done] = np.where(zero, 0, np.where(stationary, 1, 2))[stop]
-            best[done] = top[stop]
-            go = ~stop
-            if not go.any():
+            reason[done] = np.where(s == 0.0, 0, np.where(stationary, 1, 2))[stop]
+            best[done] = np.maximum(prev[stop], gamma[stop])
+            if done.size == live.size:
                 return best, _REASONS[reason]
-            live, top, gamma, Z, aZ, zeta = live[go], top[go], gamma[go], Z[:, go], aZ[:, go], zeta[go]
-        prev = gamma
-        # Fortran order, the layout of a column-masked copy, so that B @ X
+            go = ~stop
+            live, gamma, Z, U, r = live[go], gamma[go], Z[:, go], U[:, go], r[go]
+        bound = gamma + tol * np.maximum(gamma, unit)
+        # Fortran order, the layout of a column-masked copy, so that B X
         # rounds alike whether or not this step compacted the columns
-        X = np.copysign(aZ ** (q - 1.0), Z, order="F") / zeta ** (q - 1.0)
-    best[live] = top
+        X = np.copysign(U, Z, order="F") / r ** inv_p
+    best[live] = gamma
     return best, _REASONS[reason]
+
+
+# B enters the estimator unscaled while 2^e bounds its norm with
+# |e| (p + q) <= _EXP_RANGE: then |y|^p <= 2^(e p) and |z|^q <= 2^(e (p + q))
+# keep 2^64 of headroom inside the float range, both ways
+_EXP_RANGE = 960
+
+
+def _scale_exponent(aB: np.ndarray, p: float) -> int:
+    """The e by which opnorm_estimate scales B to B / 2^e, given aB = |B|.
+
+    2^e exceeds n max|B_ij|, which bounds every column and row sum of |B|
+    and so every induced p-norm of B (Riesz-Thorin).  Returns 0 while the
+    powers of B stay in range; else that e, but never below -_EXP_RANGE,
+    so that 2^-e is finite.
+    """
+    e = math.frexp(float(aB.max()))[1] + aB.shape[0].bit_length()
+    if abs(e) * (p + p / (p - 1.0)) <= _EXP_RANGE:
+        return 0
+    return max(e, -_EXP_RANGE)
 
 
 def opnorm_estimate(A: MatrixOperator, p: float) -> float:
     """Certified lower bound for the operator norm of A on weighted L_p.
 
     The weighted problem is mapped isometrically to the unweighted sequence
-    space (B = W^{1/p} A W^{-1/p}).  At p = 2 the induced norm is the
-    largest singular value of B, and the result is the quotient
-    |Bv|_2 / |v|_2 that B attains on its leading right singular vector v.
-    At every other p > 1 a dual-ascent power method is run from every
+    space (B = W^{1/p} A W^{-1/p}).  Where a power |.|^p of B could leave
+    the float range, B is first scaled by a power of two 2^-e to norm at
+    most 1, and every quotient scaled back by 2^e exactly.  At p = 2 the induced norm is the largest
+    singular value of B, and the result is the quotient |Bv|_2 / |v|_2
+    that B attains on its leading right singular vector v.  At every other
+    p > 1 a dual-ascent power method is run from every
     normalized-indicator seed and from the all-ones seed, all seeds as one
-    block iteration, keeping the best attained quotient.  Either way the
-    result is the quotient of an explicit vector, floored at
-    max_j |A e_j|_p / |e_j|_p and at max_i |A_ii| (the norm of the
-    diagonal part, attained by indicator seeds in exact arithmetic, floored
-    explicitly to keep the guarantee under roundoff).  A non-finite entry
-    of B raises ValueError.  At p = 1 the exact norm is returned.
+    block iteration (_block_ascent), keeping the best attained quotient.
+    Either way the result is the quotient of an explicit vector, floored
+    at max_j |A e_j|_p / |e_j|_p and at max_i |A_ii| (the norm of the
+    diagonal part, attained by indicator seeds in exact arithmetic,
+    floored explicitly to keep the guarantee under roundoff).  At large p
+    the scaled powers may underflow instead; a quotient then reads low,
+    down to 0, and the floors still hold.  A quotient above the largest
+    float returns the largest float, so the result is always finite.  A
+    non-finite entry of B raises ValueError.  At p = 1 the exact norm is
+    returned.
     """
     p = _check_p(p)
     if p == 1.0:
@@ -451,13 +499,23 @@ def opnorm_estimate(A: MatrixOperator, p: float) -> float:
     B = (w[:, None] * A.entries) / w[None, :]
     if not np.isfinite(B).all():
         raise ValueError("opnorm_estimate needs finite entries, got a non-finite one")
-    # the diagonal floor, and the first iterate of every indicator seed
-    floor = max(float(np.max(np.abs(np.diag(A.entries)))), float(np.max(_colnorms(np.abs(B), p))))
+    aB = np.abs(B)
+    e = _scale_exponent(aB, p)
+    if e:
+        B, aB = np.ldexp(B, -e), np.ldexp(aB, -e)
+    # the first iterate of every indicator seed
+    value = float(_colnorms(aB, p).max())
     if p == 2.0:
         v = np.linalg.svd(B)[2][0]
-        return max(floor, float(_colnorms(np.abs(B @ v), p) / _colnorms(np.abs(v), p)))
-    values, _ = _block_ascent(B, p, _MAX_ITER, _TOL)
-    return max(floor, float(np.max(values)))
+        value = max(value, float(_colnorms(np.abs(B @ v), p) / _colnorms(np.abs(v), p)))
+    else:
+        values, _ = _block_ascent(B, p, _MAX_ITER, _TOL, math.ldexp(1.0, -e))
+        value = max(value, float(np.max(values)))
+    try:
+        value = math.ldexp(value, e)
+    except OverflowError:
+        value = sys.float_info.max
+    return max(float(np.abs(A.entries.diagonal()).max()), value)
 
 
 def pinch(A: MatrixOperator, blocks: Sequence[Sequence[int]]) -> MatrixOperator:

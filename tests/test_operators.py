@@ -252,9 +252,9 @@ class TestOpnormEstimate:
         seen = []
         ascent = operators._block_ascent
 
-        def spy(B, p, max_iter, tol):
+        def spy(B, p, *rest):
             seen.append(p)
-            return ascent(B, p, max_iter, tol)
+            return ascent(B, p, *rest)
 
         monkeypatch.setattr(operators, "_block_ascent", spy)
         A = MatrixOperator(np.arange(9.0).reshape(3, 3), build_space((0.5, 1.0, 2.0)))
@@ -271,12 +271,47 @@ class TestOpnormEstimate:
                 A = MatrixOperator(rng.uniform(-1, 1, (5, 5)), space)
                 assert np.max(np.abs(np.diag(A.entries))) <= opnorm_estimate(A, p)
 
+    @pytest.mark.parametrize(
+        "scale, p", [(2.0, 1e4), (2.0, 2000.0), (1.0, 2000.0), (1e103, 3.0), (1e200, 2.0)]
+    )
+    def test_finite_and_bracketed_where_powers_overflow(self, scale, p):
+        # |B|^p overflows here: the estimate is taken on B scaled by a power of two
+        E = np.random.default_rng(1).uniform(-1, 1, (6, 6))
+        A = MatrixOperator(E * scale, build_space(np.ones(6)))
+        upper = opnorm_upper_bound(A, p)
+        est = opnorm_estimate(A, p)
+        assert np.max(np.abs(np.diag(A.entries))) <= est <= upper * (1.0 + 1e-12)
+        assert np.isfinite(upper) and np.isfinite(regular_norm(A, p))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_scaled_estimate_is_the_unscaled_one(self, p):
+        # E * 2^600 is run as E / 2^4 with the convergence tolerance scaled
+        # alike, so every seed takes the steps it takes on E
+        rng = np.random.default_rng(2)
+        E = rng.uniform(-1, 1, (6, 6))
+        space = build_space(rng.uniform(0.1, 2.0, 6))
+        base = opnorm_estimate(MatrixOperator(E, space), p)
+        est = opnorm_estimate(MatrixOperator(E * 2.0**600, space), p)
+        assert est == pytest.approx(base * 2.0**600, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_extreme_magnitudes_stay_finite(self, p):
+        space = build_space(np.ones(4))
+        # a norm above the largest float reads as the largest float
+        huge = opnorm_estimate(MatrixOperator(np.full((4, 4), 1e308), space), p)
+        assert huge == np.finfo(float).max
+        # subnormal entries: a finite bound at least the diagonal floor
+        tiny = np.diag([5e-324, 1e-320, 0.0, 0.0]) + 1e-315
+        est = opnorm_estimate(MatrixOperator(tiny, space), p)
+        assert np.isfinite(est) and est >= 1e-315 + 1e-320
+
 
 def reference_ascent(B, p, x, max_iter=100, tol=1e-12):
     """The p-norm dual ascent from one seed, run on its own.
 
     Best attained quotient and termination reason, in the per-seed loop
-    that the block ascent replaced.
+    that the block ascent replaced: the historical oracle that the block's
+    best value is gated against.
     """
 
     def pnorm(v, r):
@@ -304,27 +339,64 @@ def reference_ascent(B, p, x, max_iter=100, tol=1e-12):
     return best, "max_iter"
 
 
+def step_ascent(B, p, x, max_iter=100, tol=1e-12):
+    """One seed of the block ascent's step, run on its own.
+
+    One power per half-step: t = |y|^(p-1) gives the unnormalized dual
+    vector sign(y) t and s = |y|_p^p; u = |z|^(q-1) gives the next iterate
+    and |z|_q^q.  Stationary when |z|_q <= s (1 + 1e-14), since
+    <z, x> = s; converged when the quotient is at most
+    tol * max(previous, 1) above the previous one.
+    """
+    q = p / (p - 1.0)
+    x = x / float(np.sum(np.abs(x) ** p) ** (1.0 / p))
+    best = 0.0
+    bound = None
+    for _ in range(max_iter):
+        y = B @ x
+        t = np.abs(y) ** (p - 1.0)
+        s = float(np.sum(t * np.abs(y)))
+        gamma = s ** (1.0 / p)
+        best = max(best, gamma)
+        z = B.T @ np.copysign(t, y)
+        u = np.abs(z) ** (q - 1.0)
+        r = float(np.sum(u * np.abs(z)))
+        stationary = r ** (1.0 / q) <= s * (1.0 + 1e-14)
+        if stationary or (bound is not None and gamma <= bound):
+            return best, "zero" if s == 0.0 else "stationary" if stationary else "converged"
+        bound = gamma + tol * max(gamma, 1.0)
+        x = np.copysign(u, z) / r ** (1.0 / p)
+    return best, "max_iter"
+
+
 def isometric_image(A, p):
     w = A.space.masses ** (1.0 / p)
     return (w[:, None] * A.entries) / w[None, :]
 
 
-def reference_seed_values(A, p, max_iter=100):
-    """Per-seed reference values over the seeds 1, e_1, ..., e_n."""
+def reference_seed_values(A, p, max_iter=100, loop=step_ascent):
+    """Per-seed values of ``loop`` over the seeds 1, e_1, ..., e_n."""
     B = isometric_image(A, p)
     n = A.dimension
     seeds = [np.ones(n)] + [np.eye(n)[:, j] for j in range(n)]
-    return np.array([reference_ascent(B, p, x, max_iter)[0] for x in seeds])
+    return np.array([loop(B, p, x, max_iter)[0] for x in seeds])
+
+
+def random_ensemble(seed, trials, step=1):
+    """Every step-th 6 x 6 operator drawn as the estimator benchmark draws
+    them: default_rng([seed, t]), masses on U[0.1, 2], then entries on
+    U[-1, 1]."""
+    ops = []
+    for t in range(0, trials, step):
+        rng = np.random.default_rng([seed, t])
+        space = build_space(rng.uniform(0.1, 2.0, 6))
+        ops.append(MatrixOperator(rng.uniform(-1.0, 1.0, (6, 6)), space))
+    return ops
 
 
 def criterion_4_ensemble(step=5):
     """Every step-th operator of the acceptance suite's criterion-4 ensemble."""
-    ops = []
-    for t in range(0, 500, step):
-        rng = np.random.default_rng([20103, t])
-        space = build_space(rng.uniform(0.1, 2.0, 6))
-        ops.append(MatrixOperator(rng.uniform(-1.0, 1.0, (6, 6)), space))
-    return ops
+    return random_ensemble(20103, 500, step)
 
 
 def refine_operator(level, kernel_seed=7):
@@ -365,6 +437,25 @@ class TestBlockAscent:
         # level 8 runs every seed for max_iter steps: p = 2 only
         for p in (1.5, 2.0, 3.0) if level < 8 else (2.0,):
             self.check_against_reference(refine_operator(level), p)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            criterion_4_ensemble,
+            lambda: random_ensemble(1515, 50),
+            lambda: [refine_operator(level) for level in (4, 5, 6, 7)],
+        ],
+        ids=["criterion_4", "estimator_draws", "refine_4_to_7"],
+    )
+    def test_not_below_historical_oracle(self, ops, p):
+        # the best seed value of the block, and the estimate, against the
+        # best over all seeds of the per-seed loop that the block replaced
+        for A in ops():
+            oracle = float(np.max(reference_seed_values(A, p, loop=reference_ascent)))
+            values, _ = _block_ascent(isometric_image(A, p), p, _MAX_ITER, _TOL)
+            assert float(np.max(values)) >= oracle * (1.0 - 1e-12)
+            assert opnorm_estimate(A, p) >= oracle * (1.0 - 1e-12)
 
     def test_p2_reaches_spectral_norm_at_level_8(self):
         # the ascent stops 2.0e-5 relative short here (0.9974364)
