@@ -401,10 +401,10 @@ def _block_ascent(
 
     Returns per seed the best quotient |Bx|_p it attained, a true lower
     bound for the induced p-norm of B, and why it stopped (one of
-    _REASONS).  Keep |B|_p at most about 1: |y|^p and |z|^q are formed
-    without rescaling and overflow beyond.  opnorm_estimate passes B / 2^e
-    with unit = 2^-e, which stops every seed where B itself would with
-    unit 1.
+    _REASONS).  |y|^p and |z|^q are formed without rescaling, so |B|_p
+    must keep them in range; opnorm_estimate passes B / 2^e to that end,
+    with unit = 2^-e, which stops every seed where B itself would stop
+    with unit 1.
     """
     n = B.shape[0]
     q = p / (p - 1.0)
@@ -450,47 +450,70 @@ def _block_ascent(
     return best, _REASONS[reason]
 
 
-# B enters the estimator unscaled while 2^e bounds its norm with
-# |e| (p + q) <= _EXP_RANGE: then |y|^p <= 2^(e p) and |z|^q <= 2^(e (p + q))
-# keep 2^64 of headroom inside the float range, both ways
-_EXP_RANGE = 960
+# the largest |log2| of a power in the ascent: with h = _LOG2_RANGE / (p + q)
+# and |B|_p <= 2^h, |y|^p <= 2^(h p) and, the dual vector being
+# unnormalized, |z|^q <= 2^(h (p + q)) = 2^_LOG2_RANGE; 2^24 of headroom is
+# left below the largest float
+_LOG2_RANGE = 1000.0
+
+# B is used unscaled only if quotients down to 2^-_LOG2_ROOM times its norm
+# bound keep their powers in range (or as far down as the range allows)
+_LOG2_ROOM = 64.0
 
 
-def _scale_exponent(aB: np.ndarray, p: float) -> int:
-    """The e by which opnorm_estimate scales B to B / 2^e, given aB = |B|.
+def _scale_exponent(aB: np.ndarray, top: float, p: float) -> int:
+    """The e by which opnorm_estimate scales B to B / 2^e, given aB = |B|
+    and its largest entry ``top``.
 
-    2^e exceeds n max|B_ij|, which bounds every column and row sum of |B|
-    and so every induced p-norm of B (Riesz-Thorin).  Returns 0 while the
-    powers of B stay in range; else that e, but never below -_EXP_RANGE,
-    so that 2^-e is finite.
+    With 2^E the largest column or row sum of |B|, a bound for every
+    induced p-norm of B (Riesz-Thorin), h = _LOG2_RANGE / (p + q) and
+    room = min(_LOG2_ROOM, 2 h - 1): 0 when no power of B overflows
+    (E <= h) and quotients down to 2^(E - room) keep their powers in range
+    (E - room >= -h), so that B is used as it is; else ceil(E - h), which
+    puts the scaled bound in (2^(h-1), 2^h], leaving the whole range below
+    it.  Never below -_LOG2_RANGE, so that 2^-e is finite.
     """
-    e = math.frexp(float(aB.max()))[1] + aB.shape[0].bit_length()
-    if abs(e) * (p + p / (p - 1.0)) <= _EXP_RANGE:
+    h = _LOG2_RANGE / (p + p / (p - 1.0))
+    room = min(_LOG2_ROOM, 2.0 * h - 1.0)
+    n = aB.shape[0]
+    m, e = math.frexp(top)  # top = m 2^e with 1/2 <= m < 1
+    if m == 0.0:
         return 0
-    return max(e, -_EXP_RANGE)
+    # the sums lie in [2^(e-1), n 2^e)
+    if e + math.log2(n) <= h and e - 1.0 - room >= -h:
+        return 0
+    # the sums of |B| / 2^e are finite for every finite B
+    aB = np.ldexp(aB, -e)
+    ones = np.ones(n)
+    E = e + math.log2(max(float(np.dot(ones, aB).max()), float(np.dot(aB, ones).max())))
+    if E <= h and E - room >= -h:
+        return 0
+    return max(math.ceil(E - h), -int(_LOG2_RANGE))
 
 
 def opnorm_estimate(A: MatrixOperator, p: float) -> float:
     """Certified lower bound for the operator norm of A on weighted L_p.
 
     The weighted problem is mapped isometrically to the unweighted sequence
-    space (B = W^{1/p} A W^{-1/p}).  Where a power |.|^p of B could leave
-    the float range, B is first scaled by a power of two 2^-e to norm at
-    most 1, and every quotient scaled back by 2^e exactly.  At p = 2 the induced norm is the largest
-    singular value of B, and the result is the quotient |Bv|_2 / |v|_2
-    that B attains on its leading right singular vector v.  At every other
-    p > 1 a dual-ascent power method is run from every
+    space (B = W^{1/p} A W^{-1/p}).  At p = 2 the induced norm is the
+    largest singular value of B, and the result is the quotient
+    |Bv|_2 / |v|_2 that B attains on its leading right singular vector v.
+    At every other p > 1 a dual-ascent power method is run from every
     normalized-indicator seed and from the all-ones seed, all seeds as one
     block iteration (_block_ascent), keeping the best attained quotient.
     Either way the result is the quotient of an explicit vector, floored
-    at max_j |A e_j|_p / |e_j|_p and at max_i |A_ii| (the norm of the
+    at max_j |A e_j|_p / |e_j|_p, at max_i |A_ii| (the norm of the
     diagonal part, attained by indicator seeds in exact arithmetic,
-    floored explicitly to keep the guarantee under roundoff).  At large p
-    the scaled powers may underflow instead; a quotient then reads low,
-    down to 0, and the floors still hold.  A quotient above the largest
-    float returns the largest float, so the result is always finite.  A
-    non-finite entry of B raises ValueError.  At p = 1 the exact norm is
-    returned.
+    floored explicitly to keep the guarantee under roundoff).
+
+    Where a power |.|^p of B could leave the float range, B is first
+    scaled by a power of two 2^-e (_scale_exponent) and every quotient
+    scaled back by 2^e exactly.  At large p the powers can underflow even
+    so; a quotient then reads low, down to 0, and the estimate is floored
+    at max_ij |B_ij| as well, which the column floor tends to as p grows.
+    A quotient above the largest float reads as the largest float, so the
+    result is always finite.  A non-finite entry of B raises ValueError.
+    At p = 1 the exact norm is returned.
     """
     p = _check_p(p)
     if p == 1.0:
@@ -500,9 +523,14 @@ def opnorm_estimate(A: MatrixOperator, p: float) -> float:
     if not np.isfinite(B).all():
         raise ValueError("opnorm_estimate needs finite entries, got a non-finite one")
     aB = np.abs(B)
-    e = _scale_exponent(aB, p)
+    top = float(aB.max())
+    e = _scale_exponent(aB, top, p)
+    floor = float(np.abs(A.entries.diagonal()).max())
     if e:
         B, aB = np.ldexp(B, -e), np.ldexp(aB, -e)
+        # the powers of the scaled B can underflow, the column floor's with
+        # them: its limit as p grows, the largest entry, stands in
+        floor = max(floor, top)
     # the first iterate of every indicator seed
     value = float(_colnorms(aB, p).max())
     if p == 2.0:
@@ -515,7 +543,7 @@ def opnorm_estimate(A: MatrixOperator, p: float) -> float:
         value = math.ldexp(value, e)
     except OverflowError:
         value = sys.float_info.max
-    return max(float(np.abs(A.entries.diagonal()).max()), value)
+    return max(floor, value)
 
 
 def pinch(A: MatrixOperator, blocks: Sequence[Sequence[int]]) -> MatrixOperator:
