@@ -170,8 +170,8 @@ class MeasureSpace:
                 f"is {self.cell_mass} on {self.diffuse_interval}"
             )
 
-        # the number of coordinates, atoms then cells: set once here rather
-        # than declared as a field, so equality, hash and repr are unchanged
+        # set once, not declared as a field: equality, hash and repr are
+        # those of the fields alone
         object.__setattr__(self, "dimension", self.n_atoms + self.n_cells)
         if self.dimension == 0:
             raise ValueError("space must contain at least one atom or a diffuse part")
