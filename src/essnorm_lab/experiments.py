@@ -2,9 +2,9 @@
 
 A single JSON document describes one scenario run: the space, the symbol
 u, the perturbation, and the sweep.  Runs are deterministic given the
-config (random draws use numpy's PCG64 seeded per trial with
-``(seed, trial)``), and re-running a config produces byte-identical
-output files.
+config (random draws use numpy's PCG64 in the state of
+``default_rng([seed, trial])``), and re-running a config produces
+byte-identical output files.
 
 Scenarios
 ---------
@@ -27,6 +27,7 @@ sidecar report lists one PASS/FAIL line per scenario assertion.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -538,8 +539,71 @@ def _fn_vector(spec: dict, dimension: int) -> np.ndarray:
     return np.concatenate([0.5 ** np.arange(1, count + 1, dtype=float), [0.5**count]])
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
+# trials whose generator states are derived together
+_SEED_BATCH = 4096
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict[str, int]]:
+    """The PCG64 ``{"state", "inc"}`` of default_rng([seed, t]) for t in [lo, hi).
+
+    numpy's SeedSequence hashing, on uint32 arrays with one lane per trial,
+    of the words of seed (low word first) and of t, which needs hi <= 2**32;
+    then PCG64's seeding from generate_state(4, uint64).
+    """
+    words = [np.full(hi - lo, seed >> s & _M32, np.uint32) for s in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(lo, hi, dtype=np.uint32))
+    const = [0x43B0D7E5, 0x931E8875]
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        value = value ^ np.uint32(const[0])
+        const[0] = const[0] * const[1] & _M32
+        value = value * np.uint32(const[0])
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return r ^ r >> 16
+
+    # mix_entropy: a pool of 4 words, then the words past the pool
+    pool = [hashmix(words[i] if i < len(words) else np.zeros(hi - lo, np.uint32)) for i in range(4)]
+    for i, j in itertools.permutations(range(4), 2):
+        pool[j] = mix(pool[j], hashmix(pool[i]))
+    for word, j in itertools.product(words[4:], range(4)):
+        pool[j] = mix(pool[j], hashmix(word))
+    # generate_state(4, uint64): 8 uint32 outputs, paired low word first
+    const[:] = 0x8B51F9DD, 0x58F38DED
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    w0, w1, w2, w3 = ((out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in zip(w0, w1, w2, w3):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+        states.append({"state": ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _M128, "inc": inc})
+    return states
+
+
+def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """For each t in [start, stop), a generator in the state of
+    ``default_rng([seed, t])``.
+
+    One generator is reseeded per trial, so each one yielded is valid only
+    until the next is drawn.  The states are derived in batches, and the
+    first of each batch is checked against default_rng, so a numpy that
+    seeds differently raises RuntimeError instead of changing the draws.
+    """
+    rng = None
+    for lo in range(start, stop, _SEED_BATCH):
+        states = _pcg64_states(seed, lo, min(lo + _SEED_BATCH, stop))
+        reference = np.random.default_rng([seed, lo])
+        if reference.bit_generator.state["state"] != states[0]:
+            raise RuntimeError(f"derived PCG64 state of trial {lo} differs from default_rng([{seed}, {lo}])")
+        rng = reference if rng is None else rng
+        for state in states:
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0
+            }
+            yield rng
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +672,8 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
     rows = []
     all_verified = True
     l0, l1 = cfg.levels
+    if pert["kind"] == "random_dense":
+        rngs = _trial_rngs(pert["seed"], l0, l1 + 1)
     for level in range(l0, l1 + 1):
         space = build_space(diffuse_interval=(a, b), diffuse_level=level)
         u_l = StepFunction.from_function(space, ufn)
@@ -623,8 +689,7 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
         elif pert["kind"] == "rank_one":
             K = kernel.discretize(space)
         else:  # random_dense
-            rng = _trial_rng(pert["seed"], level)
-            K = MatrixOperator(rng.uniform(-1.0, 1.0, (space.dimension, space.dimension)), space)
+            K = MatrixOperator(next(rngs).uniform(-1.0, 1.0, (space.dimension, space.dimension)), space)
         cert = witness_lower_bound(u_l, K, cfg.epsilon, cfg.p)
         all_verified = verify_certificate(cert, u_l, K, cfg.p) and all_verified
         rows.append(_make_row(level, cert.bound, cert.bound, formula))
@@ -657,10 +722,10 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     assign = np.empty((size, dim), dtype=np.int64)
     worst: list[float] = []
     full: list[float] = []
+    rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
     for start in range(0, cfg.trials, size):
         k = min(size, cfg.trials - start)
-        for i in range(k):
-            rng = _trial_rng(cfg.seed, start + i)
+        for i, rng in zip(range(k), rngs):
             masses[i] = rng.uniform(lo, hi, dim)
             entries[i] = rng.uniform(-1.0, 1.0, (dim, dim))
             if dim >= 2:
@@ -788,10 +853,10 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     ones = np.ones(_MODULUS_DIM)
     dev_jm: list[float] = []
     dev_mod: list[float] = []
+    rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
     for start in range(0, cfg.trials, size):
         k = min(size, cfg.trials - start)
-        for i in range(k):
-            rng = _trial_rng(cfg.seed, start + i)
+        for i, rng in zip(range(k), rngs):
             S[i] = rng.uniform(-1.0, 1.0, (dim, dim))
             T[i] = rng.uniform(-1.0, 1.0, (dim, dim))
             Sm[i] = rng.uniform(-1.0, 1.0, (_MODULUS_DIM, _MODULUS_DIM))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from essnorm_lab.experiments import (
     ExperimentConfig,
     Row,
     ScenarioResult,
+    _SEED_BATCH,
     _stack_size,
+    _trial_rngs,
     emit,
     run_scenario,
 )
+from essnorm_lab.essnorm import witness_lower_bound
 from essnorm_lab.lattice import join, meet, modulus
-from essnorm_lab.lpspace import _weighted_abs_colsums
+from essnorm_lab.lpspace import StepFunction, _weighted_abs_colsums
 from essnorm_lab.measure import build_space
 from essnorm_lab.operators import MatrixOperator, opnorm_p1, pinch
 
@@ -611,3 +615,81 @@ class TestTrialScenarios:
         kept.setflags(write=False)
         np.testing.assert_array_equal(bits(_weighted_abs_colsums(kept, mu)), bits(expected))
         np.testing.assert_array_equal(bits(_weighted_abs_colsums(block, mu)), bits(expected))
+
+
+def random_dense_config(seed, levels, p):
+    cfg = diffuse_witness_config()
+    cfg.update(perturbation={"kind": "random_dense", "seed": seed}, levels=list(levels), p=p)
+    return cfg
+
+
+def per_level_random_dense(seed, levels, p):
+    """Rows of diffuse_witness under random_dense, each level's K drawn
+    from its own default_rng([seed, level])."""
+    rows = []
+    for level in range(levels[0], levels[1] + 1):
+        space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=level)
+        u = StepFunction.from_function(space, lambda x: x)
+        n = space.dimension
+        K = MatrixOperator(np.random.default_rng([seed, level]).uniform(-1.0, 1.0, (n, n)), space)
+        bound = witness_lower_bound(u, K, 0.1, p).bound
+        formula = float(np.max(np.abs(u.coefficients)))
+        rows.append(Row(float(level), bound, bound, formula, abs(bound - formula)))
+    return rows
+
+
+class TestTrialSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 + 7, 2**200 + 3])
+    def test_matches_default_rng_draw_for_draw(self, seed):
+        # seeds of 1 to 7 words, so the entropy runs past the pool of 4;
+        # trials across a batch boundary and up to the last one-word index
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for start, stop in ((0, 3), (_SEED_BATCH - 2, _SEED_BATCH + 4), (2**32 - 3, 2**32)):
+                for t, rng in zip(range(start, stop), _trial_rngs(seed, start, stop), strict=True):
+                    expected = np.random.default_rng([seed, t])
+                    for args in ((0.1, 2.0, 5), (-1.0, 1.0, (3, 3))):
+                        assert bits(rng.uniform(*args)).tolist() == bits(expected.uniform(*args)).tolist()
+                    for _ in range(4):
+                        assert rng.integers(0, 2, 3).tolist() == expected.integers(0, 2, 3).tolist()
+
+    @pytest.mark.parametrize("scenario, dim", [("pinching_suite", 2), ("lattice_oracle", 1)])
+    def test_scenarios_across_a_batch(self, scenario, dim):
+        trials = _SEED_BATCH + 1
+        result = run_scenario(ExperimentConfig.from_dict(trial_config(scenario, dim, trials, 53)))
+        assert list(map(repr, result.rows)) == list(map(repr, PER_TRIAL[scenario](53, dim, trials)))
+
+    @pytest.mark.parametrize("scenario", ["pinching_suite", "lattice_oracle"])
+    def test_batches_across_stacks(self, scenario, monkeypatch):
+        # batches of 7 against stacks of 64 (pinching) and 10 (lattice)
+        monkeypatch.setattr(experiments, "_SEED_BATCH", 7)
+        result = run_scenario(ExperimentConfig.from_dict(trial_config(scenario, 8, 150, 61)))
+        assert list(map(repr, result.rows)) == list(map(repr, PER_TRIAL[scenario](61, 8, 150)))
+
+    @pytest.mark.parametrize("batch", [2, _SEED_BATCH])
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_random_dense_levels_match_per_level_rng(self, p, batch, monkeypatch):
+        monkeypatch.setattr(experiments, "_SEED_BATCH", batch)
+        result = run_scenario(ExperimentConfig.from_dict(random_dense_config(5, (3, 7), p)))
+        assert list(map(repr, result.rows)) == list(map(repr, per_level_random_dense(5, (3, 7), p)))
+        assert result.passed
+
+    def test_drifted_state_is_an_internal_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(trial_config("pinching_suite", 3, 20, 4)))
+        out = tmp_path / "out"
+        args = ["run", "--config", str(path), "--out", str(out)]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        written = (out / "pinching_suite.csv").read_bytes()
+        real = experiments._pcg64_states
+
+        def drifted(*args):
+            return [{**s, "state": s["state"] ^ 1} for s in real(*args)]
+
+        monkeypatch.setattr(experiments, "_pcg64_states", drifted)
+        with pytest.raises(RuntimeError, match="default_rng"):
+            run_scenario(ExperimentConfig.from_dict(trial_config("lattice_oracle", 2, 3, 4)))
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3
+        assert "internal error: RuntimeError" in result.output
+        assert (out / "pinching_suite.csv").read_bytes() == written
