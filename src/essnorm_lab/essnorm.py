@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .lpspace import StepFunction, _weighted_abs_colsums, norm_p, normalized_indicator
-from .measure import MeasureSpace, TailDescriptor
+from .measure import TailDescriptor
 from .operators import (
     MatrixOperator,
     MultiplicationOperator,
@@ -38,7 +38,6 @@ from .operators import (
 )
 
 __all__ = [
-    "EssNormProblem",
     "LowerBoundCertificate",
     "WITNESS_PAIR",
     "PINCHING_DIAGONAL",
@@ -63,53 +62,6 @@ _VERIFY_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class EssNormProblem:
-    """A multiplication symbol over a discretized space.
-
-    ``u_diffuse`` holds the cell values of u (None for a purely atomic
-    space); ``u_atom_values`` the values on the stored atoms; ``u_tail``
-    the closed-form rule for atom values beyond the stored prefix (defaults
-    to the space's own tail descriptor).
-    """
-
-    space: MeasureSpace
-    u_diffuse: np.ndarray | None = None
-    u_atom_values: np.ndarray = ()
-    u_tail: TailDescriptor | None = None
-
-    def __post_init__(self) -> None:
-        atoms = np.asarray(self.u_atom_values, dtype=float)
-        if atoms.size != self.space.n_atoms:
-            raise ValueError(
-                f"u has {atoms.size} atom values, space stores {self.space.n_atoms} atoms"
-            )
-        object.__setattr__(self, "u_atom_values", atoms)
-        if self.space.has_diffuse:
-            if self.u_diffuse is None:
-                raise ValueError("space has a diffuse part but u_diffuse is missing")
-            diff = np.asarray(self.u_diffuse, dtype=float)
-            if diff.size != self.space.n_cells:
-                raise ValueError(
-                    f"u has {diff.size} cell values, space has {self.space.n_cells} cells"
-                )
-            object.__setattr__(self, "u_diffuse", diff)
-        elif self.u_diffuse is not None:
-            raise ValueError("u_diffuse given for a purely atomic space")
-        if self.u_tail is None:
-            object.__setattr__(self, "u_tail", self.space.atom_tail)
-
-    def u_step(self) -> StepFunction:
-        """The symbol as a step function (atoms first, then cells)."""
-        coeffs = np.concatenate(
-            [
-                self.u_atom_values,
-                self.u_diffuse if self.u_diffuse is not None else np.zeros(0),
-            ]
-        )
-        return StepFunction(coeffs, self.space)
-
-
-@dataclass(frozen=True, eq=False)
 class LowerBoundCertificate:
     """A certified lower bound for |M_u + K| with the vector attaining it.
 
@@ -125,18 +77,16 @@ class LowerBoundCertificate:
     construction: str
 
 
-def essential_norm(problem: EssNormProblem) -> float:
+def essential_norm(u: StepFunction, tail: TailDescriptor = TailDescriptor.finitely_supported()) -> float:
     """Evaluate max(diffuse sup of |u|, limsup over the atom tail).
 
-    The stored atom values never enter: a limsup is blind to finite
-    prefixes, and at desk scale every stored coordinate can be cancelled by
-    a finite-rank perturbation.
+    ``tail`` is the closed-form rule for the values of u on the atoms
+    beyond the stored ones.  The stored atom values never enter: a limsup
+    is blind to finite prefixes, and at desk scale every stored coordinate
+    can be cancelled by a finite-rank perturbation.
     """
-    atomic_term = problem.u_tail.limsup_abs()
-    if not problem.space.has_diffuse:
-        return atomic_term
-    diffuse_term = float(np.max(np.abs(problem.u_diffuse)))
-    return max(diffuse_term, atomic_term)
+    cells = np.abs(u.coefficients[u.space.n_atoms :])
+    return max(float(np.max(cells, initial=0.0)), tail.limsup_abs())
 
 
 def diagonal_compactification(K: MatrixOperator) -> MultiplicationOperator:

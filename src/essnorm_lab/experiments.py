@@ -39,7 +39,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .essnorm import (
-    EssNormProblem,
     best_diagonal_rank_k,
     essential_norm,
     pinching_lower_bound,
@@ -106,6 +105,13 @@ _MODULUS_DIM = 3
 _GRID_STEPS = 5
 # and join/meet against 21 values of the split parameter t in [0, 1]
 _SPLIT_STEPS = 21
+# both grids, built once and read-only; the modulus grid's points are the
+# columns of a _MODULUS_DIM x _GRID_STEPS**_MODULUS_DIM array
+_SPLITS = tuple(np.linspace(0.0, 1.0, _SPLIT_STEPS))
+_MODULUS_GRID = np.reshape(
+    np.meshgrid(*[np.linspace(-1.0, 1.0, _GRID_STEPS)] * _MODULUS_DIM, indexing="ij"), (_MODULUS_DIM, -1)
+)
+_MODULUS_GRID.setflags(write=False)
 
 
 class ConfigError(ValueError):
@@ -515,10 +521,6 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _tail_from(spec: dict) -> TailDescriptor:
-    return TailDescriptor(spec["kind"], tuple(spec["params"]))
-
-
 def _fn_callable(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     """The function of the interval variable of one of _FUNCTION_KINDS."""
     if spec["kind"] == "identity":
@@ -613,16 +615,16 @@ def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generato
 
 def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
     masses = cfg.space["atom_masses"]
-    tail = _tail_from(cfg.u["tail"])
-    space_tail = _tail_from(cfg.space["tail"]) if "tail" in cfg.space else tail
-    space = build_space(masses, space_tail)
+    # space.tail is parsed and echoed but not read: u.tail alone sets the
+    # symbol's values beyond the stored atoms
+    tail = TailDescriptor(cfg.u["tail"]["kind"], tuple(cfg.u["tail"]["params"]))
+    space = build_space(masses)
     if cfg.u["atoms"] == "from_tail":
         u_atoms = np.array([tail.value(n) for n in range(1, space.n_atoms + 1)])
     else:
         u_atoms = np.asarray(cfg.u["atoms"], dtype=float)
-    problem = EssNormProblem(space, None, u_atoms, tail)
-    formula = essential_norm(problem)
-    ustep = problem.u_step()
+    ustep = StepFunction(u_atoms, space)
+    formula = essential_norm(ustep, tail)
     order = np.argsort(-np.abs(u_atoms), kind="stable")
 
     rows = []
@@ -815,7 +817,7 @@ def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, 
     """
     hi = np.full(S.shape, -np.inf)
     lo = np.full(S.shape, np.inf)
-    for t in np.linspace(0.0, 1.0, _SPLIT_STEPS):
+    for t in _SPLITS:
         cand = t * S + (1.0 - t) * T
         np.maximum(hi, cand, out=hi)
         np.minimum(lo, cand, out=lo)
@@ -825,13 +827,10 @@ def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, 
 def _modulus_grid_oracle(S: np.ndarray) -> np.ndarray:
     """sup over a grid of |g| <= 1 of |S g|, coordinatewise (f = all-ones).
 
-    S may be a stack; the grid has _GRID_STEPS points per coordinate.
+    S is a _MODULUS_DIM x _MODULUS_DIM operator or a stack of them; the
+    grid has _GRID_STEPS points per coordinate.
     """
-    n = S.shape[-1]
-    axes = [np.linspace(-1.0, 1.0, _GRID_STEPS)] * n
-    grids = np.meshgrid(*axes, indexing="ij")
-    gs = np.stack([g.ravel() for g in grids], axis=0)  # n x steps^n
-    image = S @ gs
+    image = S @ _MODULUS_GRID
     return np.max(np.abs(image, out=image), axis=-1)
 
 

@@ -1,9 +1,8 @@
 """Discretized measure spaces: finitely many atoms plus a dyadic interval.
 
 A space is a disjoint union of an atomic part (an explicit list of atom
-masses, together with a closed-form rule for the atom values beyond the
-stored prefix) and a diffuse part, modeled as one bounded interval split
-into ``2**level`` cells of equal mass.  Splitting every cell in two
+masses) and a diffuse part, modeled as one bounded interval split into
+``2**level`` cells of equal mass.  Splitting every cell in two
 ("refinement") is the discrete counterpart of diffuseness: every
 positive-mass piece of the diffuse part strictly contains smaller pieces,
 while atoms are indivisible.
@@ -14,13 +13,17 @@ two, so the closed-form checks downstream hold bit-exactly.
 
 Coordinate convention used throughout the package: atoms come first, in
 storage order, followed by the diffuse cells from left to right.
+
+A space holds masses only.  The values of a symbol on the atoms beyond the
+stored ones are a ``TailDescriptor``, passed next to the symbol to
+``essnorm.essential_norm``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -48,7 +51,7 @@ _GAUSS2_OFFSET = 1.0 / math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class TailDescriptor:
-    """Closed-form rule for an atom value sequence beyond the stored prefix.
+    """Closed-form rule for a symbol's values on the atoms beyond the stored ones.
 
     Kinds and their parameters:
 
@@ -128,8 +131,7 @@ class TailDescriptor:
 class MeasureSpace:
     """Finite discretization of a measure space with atomic and diffuse parts.
 
-    ``atom_masses`` lists the strictly positive masses of the stored atoms;
-    ``atom_tail`` describes atoms beyond the stored prefix symbolically.
+    ``atom_masses`` lists the strictly positive masses of the stored atoms.
     ``diffuse_interval`` is the support (a, b) of the diffuse part, split
     into ``2**diffuse_level`` equal cells of positive, finite mass, or None
     for a purely atomic space.  ``dimension`` is the number of coordinates,
@@ -137,7 +139,6 @@ class MeasureSpace:
     """
 
     atom_masses: tuple[float, ...] = ()
-    atom_tail: TailDescriptor = field(default_factory=TailDescriptor.finitely_supported)
     diffuse_interval: tuple[float, float] | None = None
     diffuse_level: int = 0
 
@@ -254,11 +255,10 @@ class MeasureSpace:
 
 def build_space(
     atom_masses: Sequence[float] = (),
-    atom_tail: TailDescriptor | None = None,
     diffuse_interval: tuple[float, float] | None = None,
     diffuse_level: int = 0,
 ) -> MeasureSpace:
-    """Construct a MeasureSpace, validating every invariant.
+    """Construct a MeasureSpace from masses alone, validating every invariant.
 
     Raises ValueError for non-positive atom masses, an interval with
     b <= a, a negative refinement level, or cells whose common mass
@@ -266,7 +266,6 @@ def build_space(
     """
     return MeasureSpace(
         atom_masses=tuple(atom_masses),
-        atom_tail=atom_tail if atom_tail is not None else TailDescriptor.finitely_supported(),
         diffuse_interval=diffuse_interval,
         diffuse_level=diffuse_level,
     )

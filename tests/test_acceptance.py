@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from essnorm_lab.essnorm import (
-    EssNormProblem,
     best_diagonal_rank_k,
     diagonal_compactification,
     essential_norm,
@@ -63,17 +62,17 @@ def test_criterion_1_atomic_formula_convergence():
     with criterion(1, "atomic formula convergence", 1.0):
         n_atoms = 200
         tail = TailDescriptor.harmonic_limit(1.0)
-        space = build_space(np.ones(n_atoms), tail)
+        space = build_space(np.ones(n_atoms))
         u = np.array([tail.value(n) for n in range(1, n_atoms + 1)])
-        problem = EssNormProblem(space, None, u, tail)
-        assert essential_norm(problem) == 1.0
+        symbol = StepFunction(u, space)
+        assert essential_norm(symbol, tail) == 1.0
         values = [best_diagonal_rank_k(u, k) for k in range(n_atoms)]
         for k, value in enumerate(values):
             assert abs(value - (1.0 + 1.0 / (k + 1))) <= 1e-12
         assert all(b <= a for a, b in zip(values, values[1:]))
         # the sweep closes in on the formula value from above
         assert values[-1] == 1.0 + 1.0 / n_atoms
-        assert abs(values[-1] - essential_norm(problem)) <= 1.0 / n_atoms + 1e-15
+        assert abs(values[-1] - essential_norm(symbol, tail)) <= 1.0 / n_atoms + 1e-15
 
 
 def test_criterion_2_pinching_inequality():
@@ -208,15 +207,14 @@ def test_criterion_9_upper_bound_certification():
     with criterion(9, "upper-bound certification", 1.0):
         n_atoms = 200
         tail = TailDescriptor.harmonic_limit(1.0)
-        space = build_space(np.ones(n_atoms), tail)
+        space = build_space(np.ones(n_atoms))
         u_values = np.array([tail.value(n) for n in range(1, n_atoms + 1)])
-        problem = EssNormProblem(space, None, u_values, tail)
-        u = problem.u_step()
+        u = StepFunction(u_values, space)
         K = truncation_perturbation(u, 100)
         achieved = opnorm_p1(mult_op(u) + K)
         assert achieved == 1.0 + 1.0 / 101.0
         assert achieved <= 1.01
         # jointly with criterion 1 this sandwiches the formula value
-        assert essential_norm(problem) == 1.0
+        assert essential_norm(u, tail) == 1.0
         assert best_diagonal_rank_k(u_values, 100) == achieved
-        assert essential_norm(problem) <= achieved <= 1.01
+        assert essential_norm(u, tail) <= achieved <= 1.01

@@ -10,7 +10,6 @@ import pytest
 
 import essnorm_lab.essnorm as essnorm_module
 from essnorm_lab.essnorm import (
-    EssNormProblem,
     LowerBoundCertificate,
     PINCHING_DIAGONAL,
     WITNESS_PAIR,
@@ -48,46 +47,39 @@ def unit_atoms(n):
     return build_space(np.ones(n))
 
 
-def harmonic_problem(n_atoms):
-    tail = TailDescriptor.harmonic_limit(1.0)
-    space = build_space(np.ones(n_atoms), tail)
-    u = np.array([tail.value(k) for k in range(1, n_atoms + 1)])
-    return EssNormProblem(space, None, u, tail)
+# u(k) = 1 + 1/k on the atoms, with limit 1
+HARMONIC = TailDescriptor.harmonic_limit(1.0)
+
+
+def harmonic_symbol(n_atoms):
+    return StepFunction([HARMONIC.value(k) for k in range(1, n_atoms + 1)], unit_atoms(n_atoms))
 
 
 class TestEssentialNorm:
     def test_harmonic_atoms(self):
-        assert essential_norm(harmonic_problem(10)) == 1.0
+        assert essential_norm(harmonic_symbol(10), HARMONIC) == 1.0
 
     def test_max_of_parts(self):
         tail = TailDescriptor.alternating(2.0, -2.0)
-        space = build_space((1.0,), tail, diffuse_interval=(0, 1), diffuse_level=2)
-        problem = EssNormProblem(space, [0.9, 0.1, -0.3, 0.2], [5.0], tail)
-        assert essential_norm(problem) == 2.0
+        space = build_space((1.0,), diffuse_interval=(0, 1), diffuse_level=2)
+        u = StepFunction([5.0, 0.9, 0.1, -0.3, 0.2], space)
+        assert essential_norm(u, tail) == 2.0
 
     def test_zero_symbol(self):
         space = build_space((1.0,), diffuse_interval=(0, 1), diffuse_level=1)
-        problem = EssNormProblem(space, [0.0, 0.0], [0.0])
-        assert essential_norm(problem) == 0.0
+        assert essential_norm(StepFunction.zero(space)) == 0.0
 
     def test_purely_diffuse_is_sup(self):
         space = build_space(diffuse_interval=(0, 1), diffuse_level=3)
-        problem = EssNormProblem(space, space.cell_midpoints, [])
-        assert essential_norm(problem) == np.max(space.cell_midpoints)
+        u = StepFunction(space.cell_midpoints, space)
+        assert essential_norm(u) == np.max(space.cell_midpoints)
 
     def test_stored_atoms_do_not_matter(self):
         tail = TailDescriptor.constant_limit(0.5)
-        space = build_space((1.0, 1.0), tail)
-        low = EssNormProblem(space, None, [0.0, 0.0], tail)
-        high = EssNormProblem(space, None, [9.0, 9.0], tail)
-        assert essential_norm(low) == essential_norm(high) == 0.5
-
-    def test_layout_validation(self):
-        space = build_space((1.0,), diffuse_interval=(0, 1), diffuse_level=1)
-        with pytest.raises(ValueError, match="diffuse"):
-            EssNormProblem(space, None, [1.0])
-        with pytest.raises(ValueError, match="atom values"):
-            EssNormProblem(space, [1.0, 1.0], [1.0, 2.0])
+        space = build_space((1.0, 1.0))
+        low = StepFunction([0.0, 0.0], space)
+        high = StepFunction([9.0, 9.0], space)
+        assert essential_norm(low, tail) == essential_norm(high, tail) == 0.5
 
 
 class TestDiagonalCompactification:
@@ -713,25 +705,22 @@ class TestPinchingChain:
 
 class TestTruncationPerturbation:
     def test_cancels_prefix(self):
-        problem = harmonic_problem(20)
-        u = problem.u_step()
+        u = harmonic_symbol(20)
         K = truncation_perturbation(u, 10)
         S = mult_op(u) + K
         expected = np.concatenate([np.zeros(10), u.coefficients[10:]])
         np.testing.assert_array_equal(np.diag(S.entries), expected)
 
     def test_certifies_upper_bound(self):
-        problem = harmonic_problem(50)
-        u = problem.u_step()
+        u = harmonic_symbol(50)
         for n in (10, 25, 49):
             K = truncation_perturbation(u, n)
             # sup over the remaining coordinates, attained at index n
             assert opnorm_p1(mult_op(u) + K) == u.coefficients[n]
-        assert essential_norm(problem) == 1.0
+        assert essential_norm(u, HARMONIC) == 1.0
 
     def test_matches_projection_construction(self):
-        problem = harmonic_problem(12)
-        u = problem.u_step()
+        u = harmonic_symbol(12)
         # -M_u (I - Q_5), with Q_5 zeroing the first 5 coordinates
         head = np.diag((np.arange(u.space.dimension) < 5).astype(float))
         direct = -(mult_op(u).entries @ head)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from essnorm_lab.lattice import join, meet, modulus
 from essnorm_lab.lpspace import StepFunction, _weighted_abs_colsums
 from essnorm_lab.measure import build_space
 from essnorm_lab.operators import MatrixOperator, opnorm_p1, pinch
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def atomic_limsup_config(n=50, kmax=20):
@@ -181,6 +184,25 @@ class TestScenarios:
         check = next(c for c in result.checks if c.name == "truncation_certifies_upper_bound")
         assert check.passed
         assert f"{1 + 1 / 101:.12g}" in check.detail
+
+    @pytest.mark.parametrize(
+        "space_tail",
+        [{"kind": "harmonic_limit", "params": [1.0, 1.0]}, {"kind": "alternating", "params": [5.0, 7.0]}],
+        ids=["harmonic", "alternating"],
+    )
+    def test_atomic_limsup_space_tail_has_no_effect(self, space_tail, tmp_path):
+        # space.tail is validated and echoed, but only u.tail sets the
+        # symbol's values beyond the stored atoms
+        shipped = json.loads((CONFIGS / "atomic_limsup.json").read_text())
+        without = {**shipped, "space": {k: v for k, v in shipped["space"].items() if k != "tail"}}
+        written = {}
+        for name, raw in (("without", without), ("with", {**without, "space": {**without["space"], "tail": space_tail}})):
+            cfg = ExperimentConfig.from_dict(raw)
+            emit(run_scenario(cfg), tmp_path / name, cfg)
+            written[name] = [(tmp_path / name / f"atomic_limsup.{ext}").read_bytes() for ext in ("csv", "report.txt")]
+        assert written["with"] == written["without"]
+        echoed = json.loads((tmp_path / "with" / "atomic_limsup.config.json").read_text())
+        assert echoed["space"]["tail"] == space_tail
 
     def test_atomic_limsup_rejects_rank_one(self):
         cfg = atomic_limsup_config()
