@@ -81,6 +81,15 @@ class TestEssentialNorm:
         high = StepFunction([9.0, 9.0], space)
         assert essential_norm(low, tail) == essential_norm(high, tail) == 0.5
 
+    def test_layout_validation(self):
+        # one atom and two cells: the symbol needs one value for each, so
+        # the atom's value alone, or atom and one cell, is rejected
+        space = build_space((1.0,), diffuse_interval=(0, 1), diffuse_level=1)
+        with pytest.raises(ValueError, match="length 1, space has dimension 3"):
+            StepFunction([1.0], space)
+        with pytest.raises(ValueError, match="length 2, space has dimension 3"):
+            StepFunction([1.0, 2.0], space)
+
 
 class TestDiagonalCompactification:
     def test_diagonal_extraction(self):

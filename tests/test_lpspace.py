@@ -124,11 +124,6 @@ class TestVectorAlgebra:
         space = build_space((1.0, 1.0))
         with pytest.raises(ValueError, match="length"):
             StepFunction([1.0], space)
-        # one atom and two cells: the atom's value alone does not fill it,
-        # nor do the cell values alone
-        mixed = build_space((1.0,), diffuse_interval=(0, 1), diffuse_level=1)
-        with pytest.raises(ValueError, match="length 2"):
-            StepFunction([1.0, 1.0], mixed)
 
     def test_space_mismatch_rejected(self):
         f = StepFunction([1.0], build_space((1.0,)))
