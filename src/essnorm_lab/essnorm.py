@@ -99,20 +99,13 @@ def diagonal_compactification(K: MatrixOperator) -> MultiplicationOperator:
     return MultiplicationOperator(K.diagonal, K.space)
 
 
-def pinching_lower_bound(
-    u: StepFunction, K: MatrixOperator, p: float = 1.0
-) -> LowerBoundCertificate:
-    """Lower bound |M_u + K| >= |M_u + D_K|, exact at p = 1.
+def pinching_lower_bound(u: StepFunction, K: MatrixOperator) -> LowerBoundCertificate:
+    """Lower bound |M_u + K| >= |M_u + D_K| on weighted L1, where it is exact.
 
     Compressing to the full coordinate diagonal is contractive and maps
     M_u + K to M_u + D_K; the bound is the exact L1 norm of the latter and
     the witness is the normalized indicator of the coordinate attaining it.
     """
-    if float(p) != 1.0:
-        raise ValueError(
-            "pinching_lower_bound certifies at p = 1 only; "
-            "use witness_lower_bound for general p"
-        )
     if u.space != K.space:
         raise ValueError("u and K live on different spaces")
     quotients = p1_column_quotients(mult_op(u) + diagonal_compactification(K))
@@ -129,11 +122,15 @@ def witness_sets(u_diffuse: Sequence[float], eps: float) -> list[tuple[int, ...]
     following set keeps the half with the largest |u| values (ties broken
     by cell index, so the construction is deterministic), which at least
     halves the mass at every step.  The list ends when a set is a single
-    cell.  Indices are positions within the diffuse cell block.
+    cell.  Indices are positions within the diffuse cell block.  Raises
+    ValueError without cells or with a non-finite value, above which no
+    threshold inf - eps would select a cell.
     """
     values = np.abs(np.asarray(u_diffuse, dtype=float))
     if values.size == 0:
         raise ValueError("no diffuse cells to build witness sets from")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("witness sets need finite values of u")
     m = float(np.max(values))
     eps = float(eps)
     if not 0.0 < eps < m:
@@ -173,8 +170,6 @@ def witness_lower_bound(
     if u.space != K.space:
         raise ValueError("u and K live on different spaces")
     space = u.space
-    if not space.has_diffuse:
-        raise ValueError("witness_lower_bound requires a diffuse part")
     na = space.n_atoms
     local_sets = witness_sets(u.coefficients[na:], eps)
     fns = [

@@ -53,15 +53,6 @@ class RegularDecomposition:
         return self.centre_part + self.disjoint_part
 
 
-def _same_space(S: MatrixOperator, T: MatrixOperator) -> None:
-    if S.dimension != T.dimension:
-        raise ValueError(
-            f"dimension mismatch: {S.dimension} vs {T.dimension}"
-        )
-    if S.space != T.space:
-        raise ValueError("operators live on different spaces")
-
-
 def modulus(S: MatrixOperator) -> MatrixOperator:
     """|S|, realized entrywise; agrees with sup{|Sg| : |g| <= f} columnwise."""
     return MatrixOperator(np.abs(S.entries), S.space)
@@ -69,13 +60,13 @@ def modulus(S: MatrixOperator) -> MatrixOperator:
 
 def join(S: MatrixOperator, T: MatrixOperator) -> MatrixOperator:
     """Lattice supremum S v T (entrywise max of the matrices)."""
-    _same_space(S, T)
+    S._same_space(T)
     return MatrixOperator(np.maximum(S.entries, T.entries), S.space)
 
 
 def meet(S: MatrixOperator, T: MatrixOperator) -> MatrixOperator:
     """Lattice infimum S ^ T (entrywise min of the matrices)."""
-    _same_space(S, T)
+    S._same_space(T)
     return MatrixOperator(np.minimum(S.entries, T.entries), S.space)
 
 

@@ -240,7 +240,8 @@ class MeasureSpace:
         exact average for polynomials up to degree three.  ``fn`` is called
         once per Gauss node set, on an array of nodes, and must act
         elementwise (numpy ufuncs, polynomials); a scalar result stands for
-        a constant function.
+        a constant function.  Each node value is halved before the sum, so
+        values above half the largest float average to a finite number.
         """
         if not self.has_diffuse:
             raise ValueError("purely atomic space has no cells")
@@ -250,7 +251,7 @@ class MeasureSpace:
         def f(x: np.ndarray) -> np.ndarray:
             return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
 
-        return 0.5 * (f(mids - d) + f(mids + d))
+        return 0.5 * f(mids - d) + 0.5 * f(mids + d)
 
 
 def build_space(

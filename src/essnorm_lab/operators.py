@@ -216,10 +216,7 @@ class MultiplicationOperator(MatrixOperator):
     """Diagonal operator f -> u * f for a step function u."""
 
     def __init__(self, u_values: Sequence[float], space: MeasureSpace):
-        u = np.array(u_values, dtype=float)
-        if u.ndim != 1 or u.size != space.dimension:
-            raise ValueError("u_values length does not match the space dimension")
-        super().__init__(None, space, diag=u)
+        super().__init__(None, space, diag=u_values)
         self.u_values = self._diag
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -294,10 +291,11 @@ def _column_blocks(A: MatrixOperator, cols: np.ndarray) -> Iterator[tuple[int, i
 def _quotients_on(A: MatrixOperator, cols: np.ndarray) -> np.ndarray:
     """Column quotients of A on the strictly increasing columns ``cols``:
     entry t is p1_column_quotients(A)[cols[t]], bit for bit, at
-    O(n len(cols) r) cost for a factored A."""
+    O(n len(cols) r) cost for a factored A.  A diagonal-only A costs O(n):
+    the one nonzero of each column is its sum, as adding zeros is exact."""
     mu = A.space.masses
     if A._diagonal_only:
-        return _diagonal_quotients(A.diagonal, mu)[cols]
+        return (np.abs(A.diagonal) * mu / mu)[cols]
     colsums = np.empty(cols.size)
     for lo, hi, block in _column_blocks(A, cols):
         colsums[lo:hi] = _weighted_abs_colsums(block, mu)
@@ -315,12 +313,6 @@ def p1_column_quotients(A: MatrixOperator) -> np.ndarray:
     a block at a time, so the n x n array is never formed.
     """
     return _quotients_on(A, np.arange(A.dimension))
-
-
-def _diagonal_quotients(d: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Column quotients of diag(d), or of a stack of diagonals (trials, n):
-    the one nonzero of each column is its sum, as adding zeros is exact."""
-    return np.abs(d) * mu / mu
 
 
 def opnorm_p1(A: MatrixOperator) -> float:
@@ -479,10 +471,7 @@ def _scale_exponent(aB: np.ndarray, top: float, p: float) -> int:
     m, e = math.frexp(top)  # top = m 2^e with 1/2 <= m < 1
     if m == 0.0:
         return 0
-    # the sums lie in [2^(e-1), n 2^e)
-    if e + math.log2(n) <= h and e - 1.0 - room >= -h:
-        return 0
-    # the sums of |B| / 2^e are finite for every finite B
+    # the sums of |B| / 2^e lie in [1/2, n], finite for every finite B
     aB = np.ldexp(aB, -e)
     ones = np.ones(n)
     E = e + math.log2(max(float(np.dot(ones, aB).max()), float(np.dot(aB, ones).max())))

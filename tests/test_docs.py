@@ -1,5 +1,6 @@
 """The README's library table and the package's exports agree with each
-module's ``__all__``, the one list of its public names."""
+module's ``__all__``, the one list of its public names, and its config
+table with the scenarios' entries in ``experiments._SCENARIOS``."""
 
 import importlib
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import essnorm_lab
+from essnorm_lab import experiments
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -57,3 +59,37 @@ def test_package_exports_its_modules_all():
     assert essnorm_lab.__all__ == expected
     for name in expected:
         assert hasattr(essnorm_lab, name), name
+
+
+def config_table():
+    """The cells of each row of the "Config format" table, by scenario."""
+    section = README.read_text().split("### Config format", 1)[1].split("\n#", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        match = re.fullmatch(r"`(\w+)`", cells[0]) if len(cells) == 6 else None
+        if match:
+            rows[match.group(1)] = cells[1:]
+    return rows
+
+
+CONFIG_ROWS = config_table()
+
+
+def test_config_table_lists_every_scenario():
+    assert list(CONFIG_ROWS) == list(experiments.SCENARIOS)
+
+
+@pytest.mark.parametrize("scenario", list(CONFIG_ROWS))
+def test_config_table_matches_scenarios(scenario):
+    entry = experiments._SCENARIOS[scenario]
+    *cells, p = CONFIG_ROWS[scenario]
+    requires, optional, perturbations, functions = (re.findall(r"`([\w.]+)`", c) for c in cells)
+    assert tuple(requires) == entry.requires
+    assert tuple(optional) == entry.accepts
+    assert tuple(perturbations) == entry.perturbations
+    # function specs apply to the fields that hold functions, u.diffuse and kernel
+    fields = [path.split(".")[:2] for path in (*entry.requires, *entry.accepts)]
+    reads_functions = any(path[0] == "kernel" or path == ["u", "diffuse"] for path in fields)
+    assert tuple(functions) == (entry.functions if reads_functions else ())
+    assert p == ("1" if entry.p_is_one else "any")

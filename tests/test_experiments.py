@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from essnorm_lab.experiments import (
     Row,
     ScenarioResult,
     _SEED_BATCH,
+    _p1_norms,
     _stack_size,
     _trial_rngs,
     emit,
@@ -27,9 +31,10 @@ from essnorm_lab.essnorm import witness_lower_bound
 from essnorm_lab.lattice import join, meet, modulus
 from essnorm_lab.lpspace import StepFunction, _weighted_abs_colsums
 from essnorm_lab.measure import build_space
-from essnorm_lab.operators import MatrixOperator, opnorm_p1, pinch
+from essnorm_lab.operators import MatrixOperator, _pinched, opnorm_p1, pinch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIGS.parent / "src"
 
 
 def atomic_limsup_config(n=50, kmax=20):
@@ -477,6 +482,44 @@ class TestCli:
         assert "config error: epsilon" in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_run_symbol_beyond_float_range_exit_2(self, tmp_path):
+        # 1e308 + 1e308 x is inf on every cell, where no witness set can be
+        # built; validate accepts the config, run refuses it before any
+        # level is written (in a subprocess, so that a hang fails the test)
+        cfg = {
+            "scenario": "diffuse_witness",
+            "space": {"interval": [0.0, 1.0]},
+            "u": {"diffuse": {"kind": "poly", "coeffs": [1e308, 1e308]}},
+            "epsilon": 1e300,
+            "levels": [2, 3],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert CliRunner().invoke(main, ["validate", "--config", str(path)]).exit_code == 0
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        command = [sys.executable, "-m", "essnorm_lab.cli", "run", "--config", str(path), "--out", str(out)]
+        result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert "config error: u.diffuse:" in result.stderr
+        assert not out.exists()
+
+    def test_run_centre_decay_beyond_half_the_float_range(self, tmp_path):
+        # eta = 1e308 averages to itself on every cell, so the centre norms
+        # |eta g| 2^-level stay finite
+        cfg = {
+            "scenario": "rankone_centre_decay",
+            "kernel": {"eta": {"kind": "constant", "value": 1e308}, "g": {"kind": "constant", "value": 1e-300}},
+            "levels": [1, 3],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = (out / "rankone_centre_decay.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["50000000", "25000000", "12500000"]
+
     def test_run_library_error_exit_3(self, tmp_path, monkeypatch):
         # a ValueError from inside the library is a fault, not a config error
         def broken(*args, **kwargs):
@@ -579,16 +622,16 @@ class TestTrialScenarios:
     @pytest.mark.parametrize("scenario", ["pinching_suite", "lattice_oracle"])
     def test_stacks_match_per_trial_runner(self, scenario, dim, monkeypatch):
         # one trial, exactly one stack, and one trial into a second stack;
-        # a spy on a function called once per stack (the pinching suite
-        # takes the norms of the two-block pinch when dim >= 2 and of the
-        # operator; the diagonal pinch reads the diagonals) records the
-        # stacks actually run
+        # a spy on a function called a fixed number of times per stack (the
+        # pinching suite takes the norms of the pinch, two blocks or at
+        # dimension 1 one, and of the operator) records the stacks
+        # actually run
         size = stack_size(scenario, dim)
         reference = PER_TRIAL[scenario](31, dim, size + 1)
         if scenario == "lattice_oracle":
             name, per_stack = "_one_parameter_join_meet", 1
         else:
-            name, per_stack = "_p1_norms", 2 if dim >= 2 else 1
+            name, per_stack = "_p1_norms", 2
         stacks = []
         real = getattr(experiments, name)
         monkeypatch.setattr(experiments, name, lambda X, *args: stacks.append(len(X)) or real(X, *args))
@@ -623,6 +666,29 @@ class TestTrialScenarios:
         for t in range(k):
             A = MatrixOperator(kept[t], build_space(mu[t]))
             assert opnorm_p1(A) == float(np.max(expected[t] / mu[t]))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_two_block_pinch_dominates_diagonal_pinch(self, seed):
+        # pinching_suite keeps only the two-block pinch: each of its column
+        # quotients is at least the diagonal pinch's |A_jj| mu_j / mu_j, bit
+        # for bit, also where the entries and masses over 10^(+-300)
+        # overflow or underflow and where the assignment is one block
+        rng = np.random.default_rng([19, seed])
+        for dim in range(1, 13):
+            k = 333
+            mu = 10.0 ** rng.uniform(-300.0, 300.0, (k, dim))
+            A = rng.choice([-1.0, 1.0], (k, dim, dim)) * 10.0 ** rng.uniform(-300.0, 300.0, (k, dim, dim))
+            assign = rng.integers(0, 2, (k, dim))
+            assign[::4] = 0
+            with np.errstate(over="ignore", under="ignore"):
+                diagonal = np.abs(np.diagonal(A, 0, -2, -1)) * mu / mu
+                pinched = _pinched(A, assign)
+                quotients = _weighted_abs_colsums(pinched.copy(), mu) / mu
+                norms = _p1_norms(pinched, mu)
+            assert np.any(np.isinf(quotients)) and not np.any(np.isnan(quotients))
+            np.testing.assert_array_equal(bits(np.maximum(diagonal, quotients)), bits(quotients))
+            worst = np.maximum(np.max(diagonal, axis=-1), norms)
+            np.testing.assert_array_equal(bits(worst), bits(norms))
 
     def test_lone_column_sums_match_cumsum(self):
         # a lone column of 2^16 rows, on which numpy's pairwise reduction

@@ -91,7 +91,7 @@ class TestJoinMeet:
     def test_dimension_mismatch_rejected(self):
         S = MatrixOperator.identity(unit_atoms(2))
         T = MatrixOperator.identity(unit_atoms(3))
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match="different spaces"):
             join(S, T)
 
     def test_against_decomposition_oracle(self):

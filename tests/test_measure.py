@@ -141,6 +141,13 @@ class TestCellGeometry:
         space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=3)
         np.testing.assert_array_equal(space.cell_averages(lambda x: 1.0), np.ones(8))
 
+    def test_cell_average_beyond_half_the_float_range(self):
+        # the node values are halved before they are added, so a constant
+        # above half the largest float averages to itself, not to inf
+        space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=3)
+        np.testing.assert_array_equal(space.cell_averages(lambda x: 1e308), np.full(8, 1e308))
+        np.testing.assert_array_equal(space.cell_averages(lambda x: -1e308), np.full(8, -1e308))
+
     def test_cell_average_cubic_exact(self):
         # two-point Gauss integrates cubics exactly on each cell
         space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=2)
