@@ -91,7 +91,9 @@ MAX_ATOMS = 2**20
 # emits them: 2**18 rows take about 75 MB
 MAX_ROWS = 2**18
 # the trial scenarios draw trials x dimension**2 entries and spend 35-80 ns
-# on each (measured on a 2-vCPU VM), so a run stays within 10-20 s
+# on each (measured on a 2-vCPU VM), so a run stays within 10-20 s;
+# atomic_limsup's k sweep caps its rows x atoms by the same number, at
+# 28-37 ns per atom and row (8-10 s)
 MAX_TRIAL_ENTRIES = 2**28
 # a rank-r kernel holds two n x r factors: 64 MB at level 16 and rank 64
 MAX_RANK = 64
@@ -119,7 +121,6 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-        self.message = message
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +467,8 @@ class ExperimentConfig:
             dim = self.space["random"]["dimension"]
             if self.trials * dim * dim > MAX_TRIAL_ENTRIES:
                 raise ConfigError("trials", f"trials x dimension**2 must be <= {MAX_TRIAL_ENTRIES}")
+        if self.k_range is not None and (self.k_range[1] - self.k_range[0] + 1) * atoms > MAX_TRIAL_ENTRIES:
+            raise ConfigError("k_range", f"(k1 - k0 + 1) x atoms must be <= {MAX_TRIAL_ENTRIES}")
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps({k: v for k, v in vars(self).items() if v is not None}))
@@ -938,8 +941,18 @@ SCENARIOS = tuple(_SCENARIOS)
 
 
 def run_scenario(config: ExperimentConfig) -> ScenarioResult:
-    """Run one scenario; deterministic given the config (seed included)."""
-    return _SCENARIOS[config.scenario].run(config)
+    """Run one scenario; deterministic given the config (seed included).
+
+    Raises ConfigError if a computed, certified or formula value leaves the
+    float range: such a row states nothing, and the config's data caused it.
+    """
+    result = _SCENARIOS[config.scenario].run(config)
+    for row in result.rows:
+        for name in ("computed", "certified", "formula"):
+            value = getattr(row, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError("<root>", f"row {row.param:g}: {name} = {value} leaves the float range")
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,6 @@ class RegularDecomposition:
     centre_part: MultiplicationOperator
     disjoint_part: MatrixOperator
 
-    def total(self) -> MatrixOperator:
-        return self.centre_part + self.disjoint_part
-
 
 def modulus(S: MatrixOperator) -> MatrixOperator:
     """|S|, realized entrywise; agrees with sup{|Sg| : |g| <= f} columnwise."""

@@ -68,10 +68,6 @@ class StepFunction:
         raise AttributeError("StepFunction is immutable")
 
     @classmethod
-    def zero(cls, space: MeasureSpace) -> "StepFunction":
-        return cls(np.zeros(space.dimension), space)
-
-    @classmethod
     def constant(cls, value: float, space: MeasureSpace) -> "StepFunction":
         return cls(np.full(space.dimension, float(value)), space)
 
@@ -86,28 +82,6 @@ class StepFunction:
         if space.has_diffuse:
             coeffs[space.n_atoms :] = space.cell_averages(fn)
         return cls(coeffs, space)
-
-    # -- vector arithmetic ------------------------------------------------
-
-    def _same_space(self, other: "StepFunction") -> None:
-        if self.space != other.space:
-            raise ValueError("step functions live on different spaces")
-
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        self._same_space(other)
-        return StepFunction(self.coefficients + other.coefficients, self.space)
-
-    def __sub__(self, other: "StepFunction") -> "StepFunction":
-        self._same_space(other)
-        return StepFunction(self.coefficients - other.coefficients, self.space)
-
-    def __neg__(self) -> "StepFunction":
-        return StepFunction(-self.coefficients, self.space)
-
-    def __mul__(self, scalar: float) -> "StepFunction":
-        return StepFunction(self.coefficients * float(scalar), self.space)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"StepFunction({np.array2string(self.coefficients, threshold=8)})"

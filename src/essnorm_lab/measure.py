@@ -214,10 +214,9 @@ class MeasureSpace:
     @cached_property
     def cell_midpoints(self) -> np.ndarray:
         """Midpoints of the diffuse cells, left to right."""
-        if not self.has_diffuse:
-            raise ValueError("purely atomic space has no cells")
+        # read first: it raises on a purely atomic space; equals the cell width
+        h = self.cell_mass
         a, _ = self.diffuse_interval
-        h = self.cell_mass  # equals the cell width
         mids = a + (np.arange(self.n_cells, dtype=float) + 0.5) * h
         mids.setflags(write=False)
         return mids
@@ -243,8 +242,6 @@ class MeasureSpace:
         a constant function.  Each node value is halved before the sum, so
         values above half the largest float average to a finite number.
         """
-        if not self.has_diffuse:
-            raise ValueError("purely atomic space has no cells")
         mids = self.cell_midpoints
         d = 0.5 * self.cell_mass * _GAUSS2_OFFSET
 

@@ -84,18 +84,7 @@ class MatrixOperator:
     ):
         n = space.dimension
         self.space = space
-        self._dense = None
-        if entries is not None:
-            arr = np.array(entries, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"operator entries must be square, got shape {arr.shape}")
-            if arr.shape[0] != n:
-                raise ValueError(
-                    f"operator dimension {arr.shape[0]} does not match "
-                    f"space dimension {n}"
-                )
-            arr.setflags(write=False)
-            self._dense = arr
+        self._dense = None if entries is None else _frozen(entries, (n, n), "entries")
         self._diag = None if diag is None else _frozen(diag, (n,), "diag")
         self._factors = None
         if factors is not None:
@@ -157,10 +146,6 @@ class MatrixOperator:
         return out
 
     @classmethod
-    def identity(cls, space: MeasureSpace) -> "MatrixOperator":
-        return cls(None, space, diag=np.ones(space.dimension))
-
-    @classmethod
     def zero(cls, space: MeasureSpace) -> "MatrixOperator":
         return cls(None, space)
 
@@ -178,11 +163,6 @@ class MatrixOperator:
             y += self._diag * x
         return y
 
-    def apply(self, f: StepFunction) -> StepFunction:
-        if f.space != self.space:
-            raise ValueError("operator and argument live on different spaces")
-        return StepFunction(self.matvec(f.coefficients), self.space)
-
     # -- algebra ----------------------------------------------------------
 
     def _same_space(self, other: "MatrixOperator") -> None:
@@ -192,17 +172,13 @@ class MatrixOperator:
     def __add__(self, other: "MatrixOperator") -> "MatrixOperator":
         """Sum, kept in parts wherever the dense sum's float order allows.
 
-        A diagonal-only operand adds to the diagonal of an operand without
-        one (the dense sum adds the diagonal last as well); every other
-        pair is summed entrywise.
+        Two diagonals add; a diagonal-only operand adds to the diagonal of
+        an operand without one (the dense sum adds the diagonal last as
+        well); every other pair is summed entrywise.
         """
         self._same_space(other)
-        if self._diagonal_only and other._diagonal_only:
-            if self._diag is None or other._diag is None:
-                d = other._diag if self._diag is None else self._diag
-            else:
-                d = self._diag + other._diag
-            return MatrixOperator(None, self.space, diag=d)
+        if all(op._diagonal_only and op._diag is not None for op in (self, other)):
+            return MatrixOperator(None, self.space, diag=self._diag + other._diag)
         for a, b in ((self, other), (other, self)):
             if b._diagonal_only and a._diag is None:
                 return MatrixOperator(a._dense, self.space, diag=b._diag, factors=a._factors)
@@ -368,18 +344,16 @@ def _colnorms(aX: np.ndarray, p: float) -> np.ndarray:
     return np.add.reduce(aX ** p, 0) ** (1.0 / p)
 
 
-def _block_ascent(
-    B: np.ndarray, p: float, max_iter: int, tol: float, unit: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
+def _block_ascent(B: np.ndarray, p: float, unit: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """The p-norm power method on B from every seed at once.
 
     The seeds are the columns of [1 | I], scaled to unit p-norm.  They
     iterate together, one B X and one B^T Xi per step over the seeds still
     active, and each stops on its own at the first of: a zero image, dual
     stationarity (its iterate is a local maximizer), or a quotient at most
-    tol * max(previous, unit) above the one before (the quotients rise in
+    _TOL * max(previous, unit) above the one before (the quotients rise in
     exact arithmetic, so a fall is rounding and stops the seed too); else
-    after max_iter steps.
+    after _MAX_ITER steps.
 
     Each half-step takes one power.  t = |y|^(p-1) gives the dual vector
     xi = sign(y) t, left unnormalized, and s = sum(t |y|) = |y|_p^p;
@@ -411,8 +385,10 @@ def _block_ascent(
     # (else it stops), so its best is the last quotient, or on the step it
     # stops the larger of the last two
     gamma = np.zeros(n + 1)
-    bound = None  # the largest quotient that counts as converged, per live seed
-    for _ in range(max_iter):
+    # the largest quotient that counts as converged, per live seed; none on
+    # the first step
+    bound = -np.inf
+    for _ in range(_MAX_ITER):
         Y = np.dot(B, X)
         aY = np.abs(Y)
         T = aY ** pm1
@@ -424,7 +400,7 @@ def _block_ascent(
         r = np.add.reduce(U * aZ, 0)
         # a zero image has s = 0 and z = 0, which this test stops
         stationary = r ** inv_q <= s * (1.0 + 1e-14)
-        stop = stationary if bound is None else stationary | (gamma <= bound)
+        stop = stationary | (gamma <= bound)
         if np.count_nonzero(stop):
             # the first exit test a seed meets is its reason
             done = live[stop]
@@ -434,7 +410,7 @@ def _block_ascent(
                 return best, _REASONS[reason]
             go = ~stop
             live, gamma, Z, U, r = live[go], gamma[go], Z[:, go], U[:, go], r[go]
-        bound = gamma + tol * np.maximum(gamma, unit)
+        bound = gamma + _TOL * np.maximum(gamma, unit)
         # Fortran order, the layout of a column-masked copy, so that B X
         # rounds alike whether or not this step compacted the columns
         X = np.copysign(U, Z, order="F") / r ** inv_p
@@ -526,7 +502,7 @@ def opnorm_estimate(A: MatrixOperator, p: float) -> float:
         v = np.linalg.svd(B)[2][0]
         value = max(value, float(_colnorms(np.abs(B @ v), p) / _colnorms(np.abs(v), p)))
     else:
-        values, _ = _block_ascent(B, p, _MAX_ITER, _TOL, math.ldexp(1.0, -e))
+        values, _ = _block_ascent(B, p, math.ldexp(1.0, -e))
         value = max(value, float(np.max(values)))
     try:
         value = math.ldexp(value, e)

@@ -259,6 +259,16 @@ class TestSizeLimits:
         assert_accepted(tmp_path, shipped("atomic_limsup", k_range=[5, 5 + MAX_ROWS - 1]))
         assert_refused(tmp_path, shipped("atomic_limsup", k_range=[5, 5 + MAX_ROWS]), "k_range")
 
+    def test_k_range_bounded_by_atom_rows_scanned(self, tmp_path):
+        # atomic_limsup scans every atom at each k
+        raw = shipped("atomic_limsup")
+        assert_accepted(tmp_path, raw)
+        raw["space"]["atom_masses"]["count"] = MAX_ATOMS
+        most = MAX_TRIAL_ENTRIES // MAX_ATOMS
+        assert_accepted(tmp_path, dict(raw, k_range=[3, 3 + most - 1]))
+        assert_refused(tmp_path, dict(raw, k_range=[3, 3 + most]), "k_range")
+        assert_refused(tmp_path, dict(raw, k_range=[0, MAX_ROWS - 1]), "k_range")
+
     def test_kernel_rank_bounded(self, tmp_path):
         raw = shipped("diffuse_witness")
         raw["perturbation"]["rank"] = MAX_RANK

@@ -1,6 +1,7 @@
 """The README's library table and the package's exports agree with each
-module's ``__all__``, the one list of its public names, and its config
-table with the scenarios' entries in ``experiments._SCENARIOS``."""
+module's ``__all__``, the one list of its public names, its operator
+representation table names only what the package has, and its config
+table agrees with the scenarios' entries in ``experiments._SCENARIOS``."""
 
 import importlib
 import re
@@ -59,6 +60,29 @@ def test_package_exports_its_modules_all():
     assert essnorm_lab.__all__ == expected
     for name in expected:
         assert hasattr(essnorm_lab, name), name
+
+
+def representation_names():
+    """The backticked names in the first column of the "Operator
+    representations" table.  A call such as `MatrixOperator(entries, space)`
+    names its callee; single capitals (`M`, `A`) stand for operands."""
+    section = README.read_text().split("### Operator representations", 1)[1].split("\n#", 1)[0]
+    names = []
+    for line in section.splitlines():
+        if line.startswith("|"):
+            first = line.strip("|").split("|")[0]
+            names += [n for n in re.findall(r"`([\w.]+)(?:\([^`]*\))?`", first) if not re.fullmatch("[A-Z]", n)]
+    return names
+
+
+def test_representation_table_names_resolve():
+    names = representation_names()
+    assert "MatrixOperator.zero" in names and "pinch" in names
+    for name in names:
+        obj = essnorm_lab
+        for part in name.split("."):
+            assert hasattr(obj, part), f"README's representation table names `{name}`, which essnorm_lab lacks"
+            obj = getattr(obj, part)
 
 
 def config_table():

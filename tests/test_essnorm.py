@@ -67,7 +67,7 @@ class TestEssentialNorm:
 
     def test_zero_symbol(self):
         space = build_space((1.0,), diffuse_interval=(0, 1), diffuse_level=1)
-        assert essential_norm(StepFunction.zero(space)) == 0.0
+        assert essential_norm(StepFunction.constant(0.0, space)) == 0.0
 
     def test_purely_diffuse_is_sup(self):
         space = build_space(diffuse_interval=(0, 1), diffuse_level=3)
@@ -268,13 +268,14 @@ class TestWitnessLowerBound:
         sets = ws(space.cell_midpoints, 0.1)
         fns = [normalized_indicator(space, s, 1.0) for s in sets]
         for fn, fm in itertools.combinations(fns, 2):
-            diff = (fn - fm).coefficients
+            diff = fn.coefficients - fm.coefficients
             np.testing.assert_allclose(K.matvec(diff), np.zeros(space.dimension), atol=1e-13)
         cert = witness_lower_bound(u, K, 0.1, 1.0)
         cert0 = witness_lower_bound(u, MatrixOperator.zero(space), 0.1, 1.0)
         # the best pair-difference quotient survives the perturbation
         pair_ratios = [
-            perturbed_ratio(u, K, fn - fm, 1.0) for fn, fm in itertools.combinations(fns, 2)
+            perturbed_ratio(u, K, StepFunction(fn.coefficients - fm.coefficients, space), 1.0)
+            for fn, fm in itertools.combinations(fns, 2)
         ]
         assert cert.bound >= max(pair_ratios) - 1e-13
         assert cert.bound >= min(cert0.bound, max(pair_ratios)) - 1e-13
@@ -512,7 +513,10 @@ class TestSupportVerification:
         K = kernel.discretize(u.space)
         fns = [normalized_indicator(u.space, s, 1.0) for s in witness_sets(u.coefficients, 0.1)]
         certs = [(witness_lower_bound(u, K, 0.1, p), p) for p in (1.0, 1.5, 3.0)]
-        for g in fns + [fns[0] - fns[1], fns[2] - fns[-1]]:
+        diffs = [
+            StepFunction(f.coefficients - h.coefficients, u.space) for f, h in ((fns[0], fns[1]), (fns[2], fns[-1]))
+        ]
+        for g in fns + diffs:
             certs.append((LowerBoundCertificate(perturbed_ratio(u, K, g, 1.0), g, WITNESS_PAIR), 1.0))
         blocks = []
         columns = MatrixOperator._columns

@@ -170,7 +170,42 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(cfg)
 
 
+# configs with finite, valid data whose rows leave the float range
+OVERFLOW_CONFIGS = {
+    # |u| times the normalized indicator 4 of one level-2 cell is 4e308
+    "diffuse_witness": {
+        "scenario": "diffuse_witness",
+        "space": {"interval": [0.0, 1.0]},
+        "u": {"diffuse": {"kind": "constant", "value": 1e308}},
+        "epsilon": 1e300,
+        "levels": [2, 3],
+    },
+    # column 1 sums 1e300 x 1e300 before dividing by its mass
+    "qn_decay": {
+        "scenario": "qn_decay",
+        "space": {"atom_masses": [1e-300, 1e300, 1.0, 1.0]},
+        "kernel": {"eta": {"kind": "constant", "value": 1.0}, "g": {"kind": "constant", "value": 1.0}},
+    },
+    # the pinching quotient of atom 0 takes |u_0| mu_0 = 1e600
+    "atomic_limsup": {
+        "scenario": "atomic_limsup",
+        "space": {"atom_masses": [1e300, 1e300, 1.0]},
+        "u": {"atoms": [1e300, 2.0, 3.0], "tail": {"kind": "finitely_supported", "params": []}},
+        "k_range": [0, 2],
+    },
+}
+
+
 class TestScenarios:
+    @pytest.mark.parametrize("name", OVERFLOW_CONFIGS)
+    def test_row_beyond_float_range_refused(self, name):
+        cfg = ExperimentConfig.from_dict(OVERFLOW_CONFIGS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConfigError, match="leaves the float range") as info:
+                run_scenario(cfg)
+        assert info.value.path == "<root>"
+
     def test_atomic_limsup_closed_form(self):
         result = run_scenario(ExperimentConfig.from_dict(atomic_limsup_config()))
         assert result.passed
@@ -503,6 +538,21 @@ class TestCli:
         assert result.returncode == 2, result.stderr
         assert "config error: u.diffuse:" in result.stderr
         assert not out.exists()
+
+    def test_run_row_beyond_float_range_exit_2(self, tmp_path):
+        # validate accepts the config; run refuses its inf rows and writes
+        # nothing
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(OVERFLOW_CONFIGS["diffuse_witness"]))
+        assert CliRunner().invoke(main, ["validate", "--config", str(path)]).exit_code == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        command = [sys.executable, "-m", "essnorm_lab.cli", "run", "--config", str(path), "--out", str(out)]
+        result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, result.stderr
+        assert "config error: <root>: row 2: computed = inf leaves the float range" in result.stderr
+        assert list(out.iterdir()) == []
 
     def test_run_centre_decay_beyond_half_the_float_range(self, tmp_path):
         # eta = 1e308 averages to itself on every cell, so the centre norms

@@ -85,12 +85,12 @@ class TestJoinMeet:
         space = unit_atoms(3)
         eta = StepFunction([0.5, 1.0, 2.0], space)
         K = rank_one_atomic_offdiag(1, eta)
-        I = MatrixOperator.identity(space)
+        I = mult_op(StepFunction.constant(1.0, space))
         np.testing.assert_array_equal(meet(I, K).entries, np.zeros((3, 3)))
 
     def test_dimension_mismatch_rejected(self):
-        S = MatrixOperator.identity(unit_atoms(2))
-        T = MatrixOperator.identity(unit_atoms(3))
+        S = mult_op(StepFunction.constant(1.0, unit_atoms(2)))
+        T = mult_op(StepFunction.constant(1.0, unit_atoms(3)))
         with pytest.raises(ValueError, match="different spaces"):
             join(S, T)
 
@@ -150,7 +150,7 @@ class TestCentreProject:
         rng = np.random.default_rng(13)
         S = MatrixOperator(rng.uniform(-1, 1, (5, 5)), unit_atoms(5))
         dec = centre_project(S)
-        np.testing.assert_array_equal(dec.total().entries, S.entries)
+        np.testing.assert_array_equal((dec.centre_part + dec.disjoint_part).entries, S.entries)
 
     def test_offdiag_rank_one_has_no_centre(self):
         space = unit_atoms(3)
@@ -183,7 +183,7 @@ class TestCentreProject:
         rng = np.random.default_rng(15)
         space = unit_atoms(4)
         S = MatrixOperator(rng.uniform(0.1, 1.0, (4, 4)), space)
-        I = MatrixOperator.identity(space)
+        I = mult_op(StepFunction.constant(1.0, space))
         assert np.any(meet(modulus(S), I).entries != 0.0)
         hollow = S.entries.copy()
         np.fill_diagonal(hollow, 0.0)

@@ -137,6 +137,13 @@ class TestCellGeometry:
         expected = (2 * np.arange(16) + 1) / 32.0
         np.testing.assert_array_equal(space.cell_midpoints, expected)
 
+    def test_purely_atomic_space_has_no_cells(self):
+        # cell_mass raises for all three
+        space = build_space((1.0, 2.0))
+        for read in (lambda: space.cell_mass, lambda: space.cell_midpoints, lambda: space.cell_averages(np.sin)):
+            with pytest.raises(ValueError, match="purely atomic space has no cells"):
+                read()
+
     def test_cell_average_constant(self):
         space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=3)
         np.testing.assert_array_equal(space.cell_averages(lambda x: 1.0), np.ones(8))
