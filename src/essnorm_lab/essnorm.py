@@ -56,8 +56,8 @@ __all__ = [
 WITNESS_PAIR = "witness_pair"
 PINCHING_DIAGONAL = "pinching_diagonal"
 
-# relative tolerance of verify_certificate where the witness quotient and
-# the support's upper bound take different float paths (p != 1)
+# relative tolerance of verify_certificate's support upper bound, which the
+# witness quotient reaches along a different float path
 _VERIFY_RTOL = 1e-12
 
 
@@ -194,12 +194,13 @@ def verify_certificate(
     nothing and is rejected.
 
     witness_pair: recomputing the witness quotient must reproduce the bound
-    (bit-exactly at p = 1, within _VERIFY_RTOL otherwise), and the bound
-    must not exceed an upper bound for the norm of (M_u + K) P_S, where P_S
-    keeps the support S of the witness g (within _VERIFY_RTOL; the quotient
-    and the column sums take different float paths): the exact max over j
-    in S of the column quotients q_j at p = 1, the Riesz-Thorin bound of
-    (M_u + K) P_S otherwise.  As g = P_S g, the quotient is at most
+    bit for bit at every p (both sides call perturbed_ratio on the same
+    inputs), and the bound must not exceed an upper bound for the norm of
+    (M_u + K) P_S, where P_S keeps the support S of the witness g (within
+    _VERIFY_RTOL, the only tolerance: the quotient and the column sums take
+    different float paths): the exact max over j in S of the column
+    quotients q_j at p = 1, the Riesz-Thorin bound of (M_u + K) P_S
+    otherwise.  As g = P_S g, the quotient is at most
     |(M_u + K) P_S| <= |M_u + K|, so this check is stricter than one
     against the norm of M_u + K, and it reads only the columns in S.
 
@@ -213,12 +214,8 @@ def verify_certificate(
     if support.size == 0 or not np.all(np.isfinite(g)):
         return False
     if cert.construction == WITNESS_PAIR:
-        r = perturbed_ratio(u, K, cert.witness, p)
-        if float(p) == 1.0:
-            if r != cert.bound:
-                return False
-        # written so that a NaN quotient or bound fails
-        elif not abs(r - cert.bound) <= _VERIFY_RTOL * max(1.0, abs(cert.bound)):
+        # != also rejects a NaN quotient or bound
+        if perturbed_ratio(u, K, cert.witness, p) != cert.bound:
             return False
         return cert.bound <= _upper_bound_on(mult_op(u) + K, float(p), support) * (1.0 + _VERIFY_RTOL)
     if cert.construction == PINCHING_DIAGONAL:

@@ -494,10 +494,18 @@ def _make_row(
     certified: float | None = None,
     formula: float | None = None,
 ) -> Row:
+    """The one constructor of a Row.  Raises ConfigError if a value leaves
+    the float range: such a row states nothing, and the config's data
+    caused it, so the sweep stops at its first such row."""
     residual = None
     if computed is not None and formula is not None:
         residual = abs(computed - formula)
-    return Row(float(param), computed, certified, formula, residual)
+    row = Row(float(param), computed, certified, formula, residual)
+    for name in ("computed", "certified", "formula", "residual"):
+        value = getattr(row, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError("<root>", f"row {row.param:g}: {name} = {value} leaves the float range")
+    return row
 
 
 @dataclass(frozen=True)
@@ -505,6 +513,12 @@ class Check:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _at_most(name: str, values: Sequence[float], tol: float, what: str) -> Check:
+    """The check that the largest of a nonempty list of values is at most tol."""
+    worst = max(values)
+    return Check(name, worst <= tol, f"max {what} {worst:.3e}")
 
 
 @dataclass
@@ -630,23 +644,18 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
     order = np.argsort(-np.abs(u_atoms), kind="stable")
 
     rows = []
-    cert_gap = 0.0
     k0, k1 = cfg.k_range
     for k in range(k0, k1 + 1):
         value = best_diagonal_rank_k(u_atoms, k)
         d = np.zeros(space.dimension)
         d[order[:k]] = -u_atoms[order[:k]]
         cert = pinching_lower_bound(ustep, MultiplicationOperator(d, space))
-        cert_gap = max(cert_gap, abs(cert.bound - value) / max(1.0, abs(value)))
         rows.append(_make_row(k, value, cert.bound, formula))
 
+    gaps = [abs(r.certified - r.computed) / max(1.0, abs(r.computed)) for r in rows]
     checks = [
         Check("values_non_increasing_in_k", _non_increasing(rows)),
-        Check(
-            "certificate_matches_value",
-            cert_gap <= 1e-12,
-            f"max relative gap {cert_gap:.3e}",
-        ),
+        _at_most("certificate_matches_value", gaps, 1e-12, "relative gap"),
     ]
     if cfg.perturbation["kind"] == "truncation":
         # cancelling the first `cutoff` atoms leaves multiplication by the
@@ -727,8 +736,7 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     entries = np.empty((size, dim, dim))
     # one block at dimension 1, where no assignment is drawn
     assign = np.zeros((size, dim), dtype=np.int64)
-    worst: list[float] = []
-    full: list[float] = []
+    rows: list[Row] = []
     rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
     for start in range(0, cfg.trials, size):
         k = min(size, cfg.trials - start)
@@ -743,9 +751,9 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
                     a = rng.integers(0, 2, dim)
                 assign[i] = a
         mu, A = masses[:k], entries[:k]
-        worst += _p1_norms(_pinched(A, assign[:k]), mu).tolist()
-        full += _p1_norms(A, mu).tolist()
-    rows = [_make_row(t, w, f) for t, (w, f) in enumerate(zip(worst, full))]
+        worst = _p1_norms(_pinched(A, assign[:k]), mu).tolist()
+        full = _p1_norms(A, mu).tolist()
+        rows += [_make_row(start + i, w, f) for i, (w, f) in enumerate(zip(worst, full))]
     violations = sum(1 for r in rows if r.computed > r.certified)
     checks = [
         Check(
@@ -764,10 +772,7 @@ def _non_increasing(rows: list[Row]) -> bool:
 def _formula_check(rows: list[Row]) -> list[Check]:
     """The matches_formula check over the rows that have a formula value."""
     residuals = [r.residual / max(1.0, abs(r.formula)) for r in rows if r.residual is not None]
-    if not residuals:
-        return []
-    worst = max(residuals)
-    return [Check("matches_formula", worst <= 1e-12, f"max relative residual {worst:.3e}")]
+    return [_at_most("matches_formula", residuals, 1e-12, "relative residual")] if residuals else []
 
 
 def _run_rankone_centre_decay(cfg: ExperimentConfig) -> ScenarioResult:
@@ -852,8 +857,8 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     Sm = np.empty((size, _MODULUS_DIM, _MODULUS_DIM))
     applied = np.empty((size, _MODULUS_DIM))
     ones = np.ones(_MODULUS_DIM)
-    dev_jm: list[float] = []
-    dev_mod: list[float] = []
+    # computed column: join/meet deviation; certified column: modulus deviation
+    rows: list[Row] = []
     rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
     for start in range(0, cfg.trials, size):
         k = min(size, cfg.trials - start)
@@ -867,16 +872,13 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
             M[i] = meet(St, Tt).entries
             applied[i] = modulus(MatrixOperator(Sm[i], small_space)).matvec(ones)
         oj, om = _one_parameter_join_meet(S[:k], T[:k])
-        dev_jm += np.maximum(_max_abs_diff(J[:k], oj), _max_abs_diff(M[:k], om)).tolist()
-        dev_mod += np.max(np.abs(_modulus_grid_oracle(Sm[:k]) - applied[:k]), axis=-1).tolist()
+        dev_jm = np.maximum(_max_abs_diff(J[:k], oj), _max_abs_diff(M[:k], om)).tolist()
+        dev_mod = np.max(np.abs(_modulus_grid_oracle(Sm[:k]) - applied[:k]), axis=-1).tolist()
+        rows += [_make_row(start + i, jm, mod, 0.0) for i, (jm, mod) in enumerate(zip(dev_jm, dev_mod))]
 
-    # computed column: join/meet deviation; certified column: modulus deviation
-    rows = [_make_row(t, jm, mod, 0.0) for t, (jm, mod) in enumerate(zip(dev_jm, dev_mod))]
-    worst_jm = max((r.computed for r in rows), default=0.0)
-    worst_mod = max((r.certified for r in rows), default=0.0)
     checks = [
-        Check("join_meet_matches_oracle", worst_jm <= 1e-9, f"max deviation {worst_jm:.3e}"),
-        Check("modulus_matches_grid_oracle", worst_mod <= 1e-6, f"max deviation {worst_mod:.3e}"),
+        _at_most("join_meet_matches_oracle", [r.computed for r in rows], 1e-9, "deviation"),
+        _at_most("modulus_matches_grid_oracle", [r.certified for r in rows], 1e-6, "deviation"),
     ]
     return ScenarioResult(cfg.scenario, rows, checks)
 
@@ -943,16 +945,12 @@ SCENARIOS = tuple(_SCENARIOS)
 def run_scenario(config: ExperimentConfig) -> ScenarioResult:
     """Run one scenario; deterministic given the config (seed included).
 
-    Raises ConfigError if a computed, certified or formula value leaves the
-    float range: such a row states nothing, and the config's data caused it.
+    Raises ConfigError at the first row whose computed, certified, formula
+    or residual value leaves the float range, and sweeps no further (a trial
+    scenario finishes that row's stack): such a row states nothing, and the
+    config's data caused it.
     """
-    result = _SCENARIOS[config.scenario].run(config)
-    for row in result.rows:
-        for name in ("computed", "certified", "formula"):
-            value = getattr(row, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError("<root>", f"row {row.param:g}: {name} = {value} leaves the float range")
-    return result
+    return _SCENARIOS[config.scenario].run(config)
 
 
 # ---------------------------------------------------------------------------
@@ -1006,11 +1004,7 @@ def emit(result: ScenarioResult, out_dir: str | Path, config: ExperimentConfig |
         paths.append(csv_path)
 
         report_path = out / f"{result.scenario}.report.txt"
-        lines = [f"scenario: {result.scenario}"]
-        if result.rows:
-            lines.append(f"rows: {len(result.rows)}")
-        else:
-            lines.append("rows: 0 (empty sweep)")
+        lines = [f"scenario: {result.scenario}", f"rows: {len(result.rows)}"]
         for check in result.checks:
             status = "PASS" if check.passed else "FAIL"
             suffix = f" ({check.detail})" if check.detail else ""

@@ -449,6 +449,11 @@ class TestSupportVerification:
             cert = witness_lower_bound(u, K, 0.1, p)
             assert verify_certificate(cert, u, K, p), (level, cert.bound)
             assert full_check(cert, u, K, p), (level, cert.bound)
+            # the witness reproduces its bound bit for bit, so a bound one
+            # ulp off either way is rejected
+            for direction in (-math.inf, math.inf):
+                moved = LowerBoundCertificate(math.nextafter(cert.bound, direction), cert.witness, WITNESS_PAIR)
+                assert not verify_certificate(moved, u, K, p), (level, direction)
 
     @pytest.mark.parametrize("p", [1.0, 1.5])
     def test_witness_pair_bound_above_its_support_is_rejected(self, monkeypatch, p):

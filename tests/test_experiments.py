@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -193,6 +194,39 @@ OVERFLOW_CONFIGS = {
         "u": {"atoms": [1e300, 2.0, 3.0], "tail": {"kind": "finitely_supported", "params": []}},
         "k_range": [0, 2],
     },
+    # row 0's computed value 1.5e308 lies 2.5e308 from the formula
+    "qn_decay_residual": {
+        "scenario": "qn_decay",
+        "space": {"atom_masses": [1.0, 1.0]},
+        "kernel": {"eta": {"kind": "constant", "value": 1.0}, "g": {"kind": "values", "values": [1.5e308, 1.0]}},
+        "formula": {"kind": "constant", "value": -1e308},
+    },
+}
+
+# sweeps whose first row leaves the float range, with the library call
+# that makes one row: the witness quotient of level 2 overflows, and so
+# does the pinching quotient (|u_0| mu_0) / mu_0 at k = 0
+LONG_OVERFLOW_SWEEPS = {
+    "diffuse_witness": (
+        {
+            "scenario": "diffuse_witness",
+            "space": {"interval": [0.0, 1.0]},
+            "u": {"diffuse": {"kind": "constant", "value": 1e308}},
+            "perturbation": {"kind": "random_dense", "seed": 0},
+            "epsilon": 1e300,
+            "levels": [2, 12],
+        },
+        "witness_lower_bound",
+    ),
+    "atomic_limsup": (
+        {
+            "scenario": "atomic_limsup",
+            "space": {"atom_masses": {"value": 1e300, "count": 2**16}},
+            "u": {"atoms": [1e300] + [1.0] * (2**16 - 1), "tail": {"kind": "finitely_supported", "params": []}},
+            "k_range": [0, 300],
+        },
+        "best_diagonal_rank_k",
+    ),
 }
 
 
@@ -205,6 +239,24 @@ class TestScenarios:
             with pytest.raises(ConfigError, match="leaves the float range") as info:
                 run_scenario(cfg)
         assert info.value.path == "<root>"
+
+    @pytest.mark.parametrize("name", LONG_OVERFLOW_SWEEPS)
+    def test_refused_row_stops_the_sweep(self, name, monkeypatch):
+        raw, spied = LONG_OVERFLOW_SWEEPS[name]
+        calls = []
+        original = getattr(experiments, spied)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, spied, spy)
+        cfg = ExperimentConfig.from_dict(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ConfigError, match="leaves the float range"):
+                run_scenario(cfg)
+        assert len(calls) == 1
 
     def test_atomic_limsup_closed_form(self):
         result = run_scenario(ExperimentConfig.from_dict(atomic_limsup_config()))
@@ -324,6 +376,27 @@ class TestScenarios:
         assert [(r.param, r.computed) for r in r1.rows] == [
             (r.param, r.computed) for r in r2.rows
         ]
+
+
+def test_rows_are_made_only_by_make_row():
+    # _make_row refuses a value beyond the float range; a runner that built
+    # its own Row would skip that refusal
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Row":
+                    callers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(Path(experiments.__file__).read_text()), "<module>")
+    assert callers == ["_make_row"]
 
 
 class TestEmit:
@@ -540,19 +613,21 @@ class TestCli:
         assert not out.exists()
 
     def test_run_row_beyond_float_range_exit_2(self, tmp_path):
-        # validate accepts the config; run refuses its inf rows and writes
+        # validate accepts each config; run refuses its inf rows and writes
         # nothing
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(OVERFLOW_CONFIGS["diffuse_witness"]))
-        assert CliRunner().invoke(main, ["validate", "--config", str(path)]).exit_code == 0
-        out = tmp_path / "out"
-        out.mkdir()
         env = {**os.environ, "PYTHONPATH": str(SRC)}
-        command = [sys.executable, "-m", "essnorm_lab.cli", "run", "--config", str(path), "--out", str(out)]
-        result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
-        assert result.returncode == 2, result.stderr
-        assert "config error: <root>: row 2: computed = inf leaves the float range" in result.stderr
-        assert list(out.iterdir()) == []
+        cases = (("diffuse_witness", "row 2: computed = inf"), ("qn_decay_residual", "row 0: residual = inf"))
+        for name, message in cases:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(OVERFLOW_CONFIGS[name]))
+            assert CliRunner().invoke(main, ["validate", "--config", str(path)]).exit_code == 0
+            out = tmp_path / name
+            out.mkdir()
+            command = [sys.executable, "-m", "essnorm_lab.cli", "run", "--config", str(path), "--out", str(out)]
+            result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+            assert result.returncode == 2, result.stderr
+            assert f"config error: <root>: {message} leaves the float range" in result.stderr
+            assert list(out.iterdir()) == []
 
     def test_run_centre_decay_beyond_half_the_float_range(self, tmp_path):
         # eta = 1e308 averages to itself on every cell, so the centre norms
