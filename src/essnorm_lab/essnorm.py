@@ -232,9 +232,9 @@ def qn_decay_profile(K: MatrixOperator, n_max: int | None = None) -> list[float]
     """Exact L1 norms of Q_n K for n = 0..n_max, Q_n zeroing the first n
     coordinates.
 
-    The profile witnesses the vanishing of tail compressions: at
-    n = dimension the value is 0 exactly, and for kernels with summable
-    columns the decay follows the tail sums in closed form.
+    The profile witnesses the vanishing of tail compressions: every row is
+    the same sum, and at n = dimension it sums an empty block to 0 exactly.
+    For kernels with summable columns the decay follows the tail sums.
     """
     dim = K.dimension
     if n_max is None:
@@ -245,10 +245,7 @@ def qn_decay_profile(K: MatrixOperator, n_max: int | None = None) -> list[float]
     # rows n.. of K summed as opnorm_p1 sums them: the zeroed rows of Q_n K
     # come first and add exact zeros
     entries, mu = K.entries, K.space.masses
-    return [
-        float(np.max(_weighted_abs_colsums(entries[n:], mu[n:]) / mu)) if n < dim else 0.0
-        for n in range(n_max + 1)
-    ]
+    return [float(np.max(_weighted_abs_colsums(entries[n:], mu[n:]) / mu)) for n in range(n_max + 1)]
 
 
 def best_diagonal_rank_k(u_values: Sequence[float], k: int) -> float:

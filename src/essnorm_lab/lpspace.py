@@ -31,12 +31,13 @@ def _weighted_abs_colsums(block: np.ndarray, mu: np.ndarray) -> np.ndarray:
     checks are reproducible and dropping rows can only lower a sum, in
     floating point too: numpy adds the rows of a C-contiguous array of two
     or more columns one after another, but reduces a lone column pairwise,
-    so a lone column is summed by a cumulative sum instead.  A writable
+    so a lone column of one or more rows is summed by a cumulative sum
+    instead (no rows sum to exact zeros).  A writable
     block is scratch and is overwritten; a read-only one is copied.
     """
     weighted = np.abs(block, out=block if block.flags.writeable else None, order="C")
     weighted *= mu[..., :, None]
-    if weighted.shape[-1] == 1:
+    if weighted.shape[-1] == 1 and weighted.shape[-2]:
         return np.cumsum(weighted, axis=-2)[..., -1, :]
     return np.add.reduce(weighted, axis=-2)
 

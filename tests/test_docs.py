@@ -1,8 +1,10 @@
 """The README's library table and the package's exports agree with each
 module's ``__all__``, the one list of its public names, its operator
-representation table names only what the package has, and its config
-table agrees with the scenarios' entries in ``experiments._SCENARIOS``."""
+representation table names only what the package has, its config
+table agrees with the scenarios' entries in ``experiments._SCENARIOS``,
+and its check table names every check a scenario can report."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -117,3 +119,29 @@ def test_config_table_matches_scenarios(scenario):
     reads_functions = any(path[0] == "kernel" or path == ["u", "diffuse"] for path in fields)
     assert tuple(functions) == (entry.functions if reads_functions else ())
     assert p == ("1" if entry.p_is_one else "any")
+
+
+def check_names_in_code():
+    """The first argument of every ``Check(...)`` and ``_at_most(...)`` call
+    in experiments.py: the name of each check a scenario can report."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(experiments.__file__).read_text())):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("Check", "_at_most"):
+            if node.args and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str):
+                names.add(node.args[0].value)
+    return names
+
+
+def check_table():
+    """The backticked name in the first column of each row of the "Checks" table."""
+    section = README.read_text().split("### Checks", 1)[1].split("\n#", 1)[0]
+    return {m.group(1) for line in section.splitlines() if (m := re.match(r"\| `(\w+)` \|", line))}
+
+
+def test_check_table_lists_every_check():
+    names = check_names_in_code()
+    assert "certificates_verified" in names and "matches_formula" in names
+    documented = check_table()
+    assert not names - documented, f"the README's Checks table leaves out {sorted(names - documented)}"
+    stale = sorted(documented - names)
+    assert not stale, f"the README's Checks table names {stale}, which no scenario reports"

@@ -579,6 +579,20 @@ class TestQnDecayProfile:
             assert profile[n] == 2.0**-n
         assert profile[21] == 0.0
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_last_row_is_summed(self, dim, monkeypatch):
+        # the row at n = dim sums an empty block like every other row
+        calls = []
+        real = essnorm_module._weighted_abs_colsums
+        monkeypatch.setattr(
+            essnorm_module, "_weighted_abs_colsums", lambda block, mu: calls.append(len(block)) or real(block, mu)
+        )
+        rng = np.random.default_rng(dim)
+        K = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), build_space(rng.uniform(0.1, 2.0, dim)))
+        profile = qn_decay_profile(K)
+        assert calls == list(range(dim, -1, -1))
+        assert profile[-1] == 0.0
+
     def test_zero_kernel(self):
         space = unit_atoms(4)
         profile = qn_decay_profile(MatrixOperator.zero(space))

@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from essnorm_lab.experiments import (
     emit,
     run_scenario,
 )
-from essnorm_lab.essnorm import witness_lower_bound
+from essnorm_lab.essnorm import LowerBoundCertificate, witness_lower_bound
 from essnorm_lab.lattice import join, meet, modulus
 from essnorm_lab.lpspace import StepFunction, _weighted_abs_colsums
 from essnorm_lab.measure import build_space
@@ -36,6 +38,23 @@ from essnorm_lab.operators import MatrixOperator, _pinched, opnorm_p1, pinch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
+
+
+def shipped_config(name, **changes):
+    """The shipped configs/<name>.json with the given top-level fields replaced."""
+    return {**json.loads((CONFIGS / f"{name}.json").read_text()), **changes}
+
+
+def nudge_witness_bounds(monkeypatch):
+    """Make experiments' witness_lower_bound return each certificate with its
+    bound moved up one ulp, so that no bound verifies."""
+    real = experiments.witness_lower_bound
+
+    def nudged(*args, **kwargs):
+        cert = real(*args, **kwargs)
+        return dataclasses.replace(cert, bound=math.nextafter(cert.bound, math.inf))
+
+    monkeypatch.setattr(experiments, "witness_lower_bound", nudged)
 
 
 def atomic_limsup_config(n=50, kmax=20):
@@ -360,6 +379,30 @@ class TestScenarios:
         result = run_scenario(cfg)
         assert result.passed
 
+    def test_failed_verification_certifies_nothing(self, monkeypatch):
+        nudge_witness_bounds(monkeypatch)
+        result = run_scenario(ExperimentConfig.from_dict(shipped_config("diffuse_witness")))
+        assert [int(r.param) for r in result.rows] == list(range(6, 13))
+        assert all(r.certified is None and r.computed > 0.0 for r in result.rows)
+        assert result.checks == [Check("certificates_verified", False)]
+
+    def test_qn_decay_one_atom_computes_its_last_row(self):
+        # no n_max: the profile runs to n = 1, an empty block of one column
+        cfg = ExperimentConfig.from_dict(
+            {
+                "scenario": "qn_decay",
+                "space": {"atom_masses": [1.0]},
+                "kernel": {
+                    "eta": {"kind": "constant", "value": 1.0},
+                    "g": {"kind": "values", "values": [2.0]},
+                },
+            }
+        )
+        result = run_scenario(cfg)
+        assert [r.computed for r in result.rows] == [2.0, 0.0]
+        assert Check("final_value_zero", True) in result.checks
+        assert result.passed
+
     def test_diffuse_witness_verifies_general_p(self):
         # kernel 79 at level 7, p = 1.5: a sound witness bound that beats
         # the estimator's local maximum, so only an upper bound checks it
@@ -659,6 +702,17 @@ class TestCli:
         assert "config error" not in result.output
         assert not (tmp_path / "out").exists()
 
+    def test_run_failed_verification_exit_1(self, tmp_path, monkeypatch):
+        nudge_witness_bounds(monkeypatch)
+        out = tmp_path / "out"
+        args = ["run", "--config", str(CONFIGS / "diffuse_witness.json"), "--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "certificates_verified: FAIL" in result.output
+        rows = (out / "diffuse_witness.csv").read_text().splitlines()[1:]
+        assert len(rows) == 7
+        assert all(row.split(",")[2] == "" for row in rows)
+
     def test_run_failing_assertion_exit_1(self, tmp_path):
         # a wrong formula makes the matches_formula assertion fail
         cfg = qn_decay_config()
@@ -828,6 +882,69 @@ class TestTrialScenarios:
         kept.setflags(write=False)
         np.testing.assert_array_equal(bits(_weighted_abs_colsums(kept, mu)), bits(expected))
         np.testing.assert_array_equal(bits(_weighted_abs_colsums(block, mu)), bits(expected))
+
+
+def test_empty_lone_column_sums_to_zero():
+    # rows n.. of a one-column block at n = 1: no rows, and no cumulative sum
+    assert _weighted_abs_colsums(np.empty((0, 1)), np.empty(0)).tolist() == [0.0]
+
+
+def scaled(value, factor):
+    """A library call's output with its numbers scaled by factor: a float,
+    a list of floats, an operator's entries or a certificate's bound."""
+    if isinstance(value, MatrixOperator):
+        return MatrixOperator(value.entries * factor, value.space)
+    if isinstance(value, LowerBoundCertificate):
+        return dataclasses.replace(value, bound=value.bound * factor)
+    if isinstance(value, list):
+        return [v * factor for v in value]
+    return value * factor
+
+
+# How strong each check is: one library call's output, scaled by (1 + delta)
+# where the experiments module calls it, must make the named check FAIL on a
+# shipped config.  Each delta is the first step of the probe grid
+# {2.3e-16, 1e-13, 1e-10, 1e-6, 1e-3, 0.1} that the check's tolerance allows
+# it to catch; a change that weakens a check fails its entry here.
+
+# the benchmark's truncation config: 200 atoms, the first 100 cancelled
+TRUNCATION = {"kind": "truncation", "cutoff": 100}
+CHECK_STRENGTHS = {
+    # a relative gap of at most 1e-12 lets 1e-13 pass; 1e-10 exceeds it
+    "atomic_limsup": ("atomic_limsup", {}, "best_diagonal_rank_k", "certificate_matches_value", 1e-10),
+    # exact reproduction: 1 + 2.3e-16 rounds to 1 + 2**-52, which moves any bound by an ulp or more
+    "diffuse_witness-p1": ("diffuse_witness", {}, "witness_lower_bound", "certificates_verified", 2.3e-16),
+    # the same exact reproduction at p = 1.5, on the shipped factored kernel
+    "diffuse_witness-p1.5": (
+        "diffuse_witness", {"p": 1.5, "levels": [6, 9]}, "witness_lower_bound", "certificates_verified", 2.3e-16
+    ),
+    # a relative residual of at most 1e-12 against 2**-n lets 1e-13 pass; 1e-10 exceeds it at n = 0
+    "qn_decay": ("qn_decay", {}, "qn_decay_profile", "matches_formula", 1e-10),
+    # a relative residual of at most 1e-12 against 2**-level: 1e-10 exceeds it at level 1
+    "rankone_centre_decay": (
+        "rankone_centre_decay", {}, "centre_decay_under_refinement", "matches_formula", 1e-10
+    ),
+    # an absolute deviation of at most 1e-9 on entries below 1 lets 1e-10 pass; 1e-6 exceeds it
+    "join": ("lattice_oracle", {}, "join", "join_meet_matches_oracle", 1e-6),
+    # an absolute deviation of at most 1e-6: 1e-6 exceeds it on any row of |S| that sums past 1
+    "modulus": ("lattice_oracle", {}, "modulus", "modulus_matches_grid_oracle", 1e-6),
+    # |M_u + K| within 1e-12 x max(1, tail sup) of the tail sup: 1e-13 stays inside, 1e-10 does not
+    "truncation": (
+        "atomic_limsup", {"perturbation": TRUNCATION}, "opnorm_p1", "truncation_certifies_upper_bound", 1e-10
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", CHECK_STRENGTHS)
+def test_check_catches_scaled_output(entry, monkeypatch):
+    config, changes, name, check, delta = CHECK_STRENGTHS[entry]
+    cfg = ExperimentConfig.from_dict(shipped_config(config, **changes))
+    real = getattr(experiments, name)
+    passed = {}
+    for d in (0.0, delta):
+        monkeypatch.setattr(experiments, name, lambda *a, d=d, **kw: scaled(real(*a, **kw), 1 + d))
+        passed[d] = {c.name: c.passed for c in run_scenario(cfg).checks}[check]
+    assert passed == {0.0: True, delta: False}
 
 
 def random_dense_config(seed, levels, p):
