@@ -31,7 +31,6 @@ import itertools
 import json
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
@@ -515,6 +514,13 @@ class Check:
     detail: str = ""
 
 
+def _gamma(k: float) -> float:
+    """gamma_k = k u / (1 - k u), u = 2**-53: the relative error that k
+    rounded operations on normal floats can add up to."""
+    ku = k * 2.0**-53
+    return ku / (1.0 - ku)
+
+
 def _at_most(name: str, values: Sequence[float], tol: float, what: str) -> Check:
     """The check that the largest of a nonempty list of values is at most tol."""
     worst = max(values)
@@ -652,14 +658,17 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
         cert = pinching_lower_bound(ustep, MultiplicationOperator(d, space))
         rows.append(_make_row(k, value, cert.bound, formula))
 
+    # each certificate is fl(fl(|u_i| mu_i) / mu_i), within 2u + u**2 of the
+    # exact value |u_i|; the gap's subtraction is exact and its division rounds
     gaps = [abs(r.certified - r.computed) / max(1.0, abs(r.computed)) for r in rows]
     checks = [
         Check("values_non_increasing_in_k", _non_increasing(rows)),
-        _at_most("certificate_matches_value", gaps, 1e-12, "relative gap"),
+        _at_most("certificate_matches_value", gaps, _gamma(3), "relative gap"),
     ]
     if cfg.perturbation["kind"] == "truncation":
         # cancelling the first `cutoff` atoms leaves multiplication by the stored
-        # atoms past it, of exact norm their max|u|, which may lie below the formula
+        # atoms past it, of exact norm their max|u|, which may lie below the
+        # formula; the computed norm rounds twice per column, like a certificate
         cutoff = cfg.perturbation["cutoff"]
         K = truncation_perturbation(ustep, min(cutoff, space.dimension))
         achieved = opnorm_p1(mult_op(ustep) + K)
@@ -667,7 +676,7 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
         checks.append(
             Check(
                 "truncation_certifies_upper_bound",
-                abs(achieved - tail_sup) <= 1e-12 * max(1.0, tail_sup),
+                abs(achieved - tail_sup) <= _gamma(3) * max(1.0, tail_sup),
                 f"|M_u + K| = {achieved:.12g} at cutoff {cutoff}",
             )
         )
@@ -809,6 +818,14 @@ def _run_qn_decay(cfg: ExperimentConfig) -> ScenarioResult:
     checks = [Check("profile_nonnegative", all(r.computed >= 0.0 for r in rows))]
     if len(rows) > space.dimension:
         checks.append(Check("final_value_zero", rows[-1].computed == 0.0))
+    if cfg.formula is None:
+        # K = g (eta mu)^T: row n is max|eta| times the tail sum of |g| mu past
+        # n, and over its m = dim - n terms rounds m + 3 times, this tail m + 1
+        weights = np.abs(g.coefficients) * np.max(np.abs(eta.coefficients)) * space.masses
+        tails = np.append(np.cumsum(weights[::-1])[::-1], 0.0).tolist()
+        dim = space.dimension
+        fits = [abs(r.computed - c) <= _gamma(2 * (dim - r.param) + 5) * c for r, c in zip(rows, tails)]
+        checks.append(Check("matches_rank_one_tail", all(fits)))
     return ScenarioResult(cfg.scenario, rows, checks + _formula_check(rows))
 
 
@@ -961,18 +978,17 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.12g}"
 
 
-@contextmanager
-def _atomic_open(path: Path) -> Iterator[TextIO]:
-    """Open a temporary file that replaces path once written in full.
+def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Write path through ``write(fh)``, replacing it whole or not at all.
 
-    The file appears under its name complete or not at all: the temporary
-    file, in the same directory, is renamed over path in one step after a
-    clean close and removed if writing fails.
+    ``write`` fills a temporary file in the same directory, which is
+    renamed over path in one step after a clean close and removed if
+    writing fails.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            yield fh
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -987,37 +1003,27 @@ def emit(result: ScenarioResult, out_dir: str | Path, config: ExperimentConfig |
     no partial file behind.
     """
     out = Path(out_dir)
+    # the CSV is streamed row by row, never held as one string
+    table = ([_fmt(r.param), _fmt(r.computed), _fmt(r.certified), _fmt(r.formula), _fmt(r.residual)]
+             for r in result.rows)
+    lines = [f"scenario: {result.scenario}", f"rows: {len(result.rows)}"]
+    for check in result.checks:
+        status = "PASS" if check.passed else "FAIL"
+        suffix = f" ({check.detail})" if check.detail else ""
+        lines.append(f"check {check.name}: {status}{suffix}")
+    lines.append(f"result: {'PASS' if result.passed else 'FAIL'}")
+    files = {
+        "csv": lambda fh: csv.writer(fh).writerows(itertools.chain([CSV_HEADER], table)),
+        "report.txt": lambda fh: fh.write("\n".join(lines) + "\n"),
+    }
+    if config is not None:
+        text = json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+        files["config.json"] = lambda fh: fh.write(text)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        paths = []
-
-        csv_path = out / f"{result.scenario}.csv"
-        with _atomic_open(csv_path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for row in result.rows:
-                writer.writerow(
-                    [_fmt(row.param), _fmt(row.computed), _fmt(row.certified),
-                     _fmt(row.formula), _fmt(row.residual)]
-                )
-        paths.append(csv_path)
-
-        report_path = out / f"{result.scenario}.report.txt"
-        lines = [f"scenario: {result.scenario}", f"rows: {len(result.rows)}"]
-        for check in result.checks:
-            status = "PASS" if check.passed else "FAIL"
-            suffix = f" ({check.detail})" if check.detail else ""
-            lines.append(f"check {check.name}: {status}{suffix}")
-        lines.append(f"result: {'PASS' if result.passed else 'FAIL'}")
-        with _atomic_open(report_path) as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(report_path)
-
-        if config is not None:
-            config_path = out / f"{result.scenario}.config.json"
-            with _atomic_open(config_path) as fh:
-                fh.write(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
-            paths.append(config_path)
+        paths = [out / f"{result.scenario}.{suffix}" for suffix in files]
+        for path, write in zip(paths, files.values()):
+            _write_atomic(path, write)
         return paths
     except OSError as e:
         raise RuntimeError(f"failed to write results under {out}: {e}") from e

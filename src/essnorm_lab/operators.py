@@ -511,27 +511,18 @@ def opnorm_estimate(A: MatrixOperator, p: float) -> float:
     return max(floor, value)
 
 
-def pinch(A: MatrixOperator, blocks: Sequence[Sequence[int]]) -> MatrixOperator:
-    """Block-diagonal compression sum_b P_b A P_b.
+def pinch(A: MatrixOperator, labels: Sequence[int] | np.ndarray) -> MatrixOperator:
+    """Block-diagonal compression sum_b P_b A P_b, coordinate i in block labels[i].
 
-    ``blocks`` must partition the coordinate indices.  Entries (i, j) with
-    i and j in different blocks are zeroed; kept entries are copied
-    unchanged, so at p = 1 the compression is norm-contractive exactly.
+    A vector of integer labels partitions the coordinates by construction
+    (a NaN label would not equal itself).  Entries (i, j) with i and j in
+    different blocks are zeroed; kept entries are copied unchanged, so at
+    p = 1 the compression is norm-contractive exactly.
     """
-    n = A.dimension
-    block_id = np.full(n, -1, dtype=int)
-    for b, block in enumerate(blocks):
-        for i in block:
-            i = int(i)
-            if not 0 <= i < n:
-                raise ValueError(f"block index {i} out of range for dimension {n}")
-            if block_id[i] != -1:
-                raise ValueError(f"blocks overlap at index {i}")
-            block_id[i] = b
-    if np.any(block_id == -1):
-        missing = np.nonzero(block_id == -1)[0].tolist()
-        raise ValueError(f"blocks do not cover indices {missing}")
-    return MatrixOperator(_pinched(A.entries, block_id), A.space)
+    labels = np.asarray(labels)
+    if labels.shape != (A.dimension,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be {A.dimension} integers, got {labels.dtype} of shape {labels.shape}")
+    return MatrixOperator(_pinched(A.entries, labels), A.space)
 
 
 def _pinched(entries: np.ndarray, block_id: np.ndarray) -> np.ndarray:

@@ -41,8 +41,10 @@ SRC = CONFIGS.parent / "src"
 
 
 def shipped_config(name, **changes):
-    """The shipped configs/<name>.json with the given top-level fields replaced."""
-    return {**json.loads((CONFIGS / f"{name}.json").read_text()), **changes}
+    """The shipped configs/<name>.json with the given top-level fields
+    replaced, and those given as None left out."""
+    cfg = {**json.loads((CONFIGS / f"{name}.json").read_text()), **changes}
+    return {key: value for key, value in cfg.items() if value is not None}
 
 
 def nudge_witness_bounds(monkeypatch):
@@ -421,9 +423,8 @@ class TestScenarios:
         ]
 
 
-def test_rows_are_made_only_by_make_row():
-    # _make_row refuses a value beyond the float range; a runner that built
-    # its own Row would skip that refusal
+def callers_in_experiments(callee):
+    """The functions of experiments.py that call ``callee``, once per call."""
     callers = []
 
     def visit(node, owner):
@@ -434,12 +435,25 @@ def test_rows_are_made_only_by_make_row():
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "Row":
+                if name == callee:
                     callers.append(owner)
             visit(child, owner)
 
     visit(ast.parse(Path(experiments.__file__).read_text()), "<module>")
-    assert callers == ["_make_row"]
+    return callers
+
+
+def test_rows_are_made_only_by_make_row():
+    # _make_row refuses a value beyond the float range; a runner that built
+    # its own Row would skip that refusal
+    assert callers_in_experiments("Row") == ["_make_row"]
+
+
+def test_files_are_written_through_one_path():
+    # _write_atomic replaces a file whole or not at all; emit writes every
+    # output file through its one call of it
+    assert callers_in_experiments("open") == ["_write_atomic"]
+    assert callers_in_experiments("_write_atomic") == ["emit"]
 
 
 class TestEmit:
@@ -742,13 +756,12 @@ def per_trial_pinching(seed, dim, trials):
         masses = rng.uniform(0.1, 2.0, dim)
         A = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), build_space(masses))
         full = opnorm_p1(A)
-        worst = opnorm_p1(pinch(A, [[i] for i in range(dim)]))
+        worst = opnorm_p1(pinch(A, np.arange(dim)))
         if dim >= 2:
             assign = rng.integers(0, 2, dim)
             while assign.all() or not assign.any():
                 assign = rng.integers(0, 2, dim)
-            blocks = [np.nonzero(assign == 0)[0].tolist(), np.nonzero(assign == 1)[0].tolist()]
-            worst = max(worst, opnorm_p1(pinch(A, blocks)))
+            worst = max(worst, opnorm_p1(pinch(A, assign)))
         rows.append(Row(float(t), worst, full, None, None))
     return rows
 
@@ -910,8 +923,12 @@ def scaled(value, factor):
 # the benchmark's truncation config: 200 atoms, the first 100 cancelled
 TRUNCATION = {"kind": "truncation", "cutoff": 100}
 CHECK_STRENGTHS = {
-    # a relative gap of at most 1e-12 lets 1e-13 pass; 1e-10 exceeds it
-    "atomic_limsup": ("atomic_limsup", {}, "best_diagonal_rank_k", "certificate_matches_value", 1e-10),
+    # a relative gap of at most gamma_3 = 3.3e-16 lets 2.3e-16 pass; 1e-13 exceeds it
+    "atomic_limsup": ("atomic_limsup", {}, "best_diagonal_rank_k", "certificate_matches_value", 1e-13),
+    # the same gap, moved from the certificate's side
+    "atomic_limsup-pinching": (
+        "atomic_limsup", {}, "pinching_lower_bound", "certificate_matches_value", 1e-13
+    ),
     # exact reproduction: 1 + 2.3e-16 rounds to 1 + 2**-52, which moves any bound by an ulp or more
     "diffuse_witness-p1": ("diffuse_witness", {}, "witness_lower_bound", "certificates_verified", 2.3e-16),
     # the same exact reproduction at p = 1.5, on the shipped factored kernel
@@ -920,6 +937,11 @@ CHECK_STRENGTHS = {
     ),
     # a relative residual of at most 1e-12 against 2**-n lets 1e-13 pass; 1e-10 exceeds it at n = 0
     "qn_decay": ("qn_decay", {}, "qn_decay_profile", "matches_formula", 1e-10),
+    # without a formula, every row within gamma_(2(dim - n) + 5) <= 5.3e-15 of the
+    # rank-one tail sum: 2.3e-16 stays inside, 1e-13 does not
+    "qn_decay-no-formula": (
+        "qn_decay", {"n_max": 21, "formula": None}, "qn_decay_profile", "matches_rank_one_tail", 1e-13
+    ),
     # a relative residual of at most 1e-12 against 2**-level: 1e-10 exceeds it at level 1
     "rankone_centre_decay": (
         "rankone_centre_decay", {}, "centre_decay_under_refinement", "matches_formula", 1e-10
@@ -928,9 +950,9 @@ CHECK_STRENGTHS = {
     "join": ("lattice_oracle", {}, "join", "join_meet_matches_oracle", 1e-6),
     # an absolute deviation of at most 1e-6: 1e-6 exceeds it on any row of |S| that sums past 1
     "modulus": ("lattice_oracle", {}, "modulus", "modulus_matches_grid_oracle", 1e-6),
-    # |M_u + K| within 1e-12 x max(1, tail sup) of the tail sup: 1e-13 stays inside, 1e-10 does not
+    # |M_u + K| within gamma_3 x max(1, tail sup) of the tail sup: 2.3e-16 stays inside, 1e-13 does not
     "truncation": (
-        "atomic_limsup", {"perturbation": TRUNCATION}, "opnorm_p1", "truncation_certifies_upper_bound", 1e-10
+        "atomic_limsup", {"perturbation": TRUNCATION}, "opnorm_p1", "truncation_certifies_upper_bound", 1e-13
     ),
 }
 
@@ -945,6 +967,44 @@ def test_check_catches_scaled_output(entry, monkeypatch):
         monkeypatch.setattr(experiments, name, lambda *a, d=d, **kw: scaled(real(*a, **kw), 1 + d))
         passed[d] = {c.name: c.passed for c in run_scenario(cfg).checks}[check]
     assert passed == {0.0: True, delta: False}
+
+
+def signed_magnitudes(rng, lo, hi, n):
+    """n draws of 10**U(lo, hi), each with a random sign."""
+    return (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)).tolist()
+
+
+def test_diagonal_checks_pass_across_the_float_range():
+    # gamma_3 bounds a certificate's two roundings wherever |u_i| mu_i is a
+    # normal float: masses 10**U(-150, 150), atoms of magnitude 10**U(-100, 100)
+    rng = np.random.default_rng(24)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        cfg = atomic_limsup_config()
+        cfg["space"]["atom_masses"] = (10.0 ** rng.uniform(-150, 150, n)).tolist()
+        cfg.update(u={**cfg["u"], "atoms": signed_magnitudes(rng, -100, 100, n)}, k_range=[0, n])
+        if rng.random() < 0.5:
+            cfg["perturbation"] = {"kind": "truncation", "cutoff": int(rng.integers(0, n + 2))}
+        checks = run_scenario(ExperimentConfig.from_dict(cfg)).checks
+        assert all(c.passed for c in checks), (cfg, checks)
+
+
+def test_rank_one_tail_check_passes_across_the_float_range():
+    # every row's rounding stays inside its gamma margin while each term
+    # |g_i eta_j mu_j| mu_i is a normal float: masses 10**U(-100, 100),
+    # kernel values of magnitude 10**U(-50, 50)
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        cfg = qn_decay_config()
+        del cfg["formula"]
+        cfg.update(space={"atom_masses": (10.0 ** rng.uniform(-100, 100, n)).tolist()}, n_max=n)
+        cfg["kernel"] = {
+            name: {"kind": "values", "values": signed_magnitudes(rng, -50, 50, n)} for name in ("eta", "g")
+        }
+        checks = run_scenario(ExperimentConfig.from_dict(cfg)).checks
+        assert "matches_rank_one_tail" in {c.name for c in checks}
+        assert all(c.passed for c in checks), (cfg, checks)
 
 
 def random_dense_config(seed, levels, p):

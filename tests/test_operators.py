@@ -519,34 +519,28 @@ class TestBlockAscent:
 class TestPinch:
     def test_full_diagonal(self):
         A = MatrixOperator([[1.0, 2.0], [3.0, 4.0]], unit_atoms(2))
-        P = pinch(A, [[0], [1]])
+        P = pinch(A, [0, 1])
         np.testing.assert_array_equal(P.entries, [[1.0, 0.0], [0.0, 4.0]])
 
     def test_two_blocks_3x3(self):
         A = MatrixOperator(np.arange(1.0, 10.0).reshape(3, 3), unit_atoms(3))
-        P = pinch(A, [[0, 1], [2]])
+        P = pinch(A, [0, 0, 1])
         expected = np.array([[1.0, 2.0, 0.0], [4.0, 5.0, 0.0], [0.0, 0.0, 9.0]])
         np.testing.assert_array_equal(P.entries, expected)
 
     def test_single_block_is_identity_pinch(self):
         rng = np.random.default_rng(41)
         A = MatrixOperator(rng.uniform(-1, 1, (4, 4)), unit_atoms(4))
-        np.testing.assert_array_equal(pinch(A, [range(4)]).entries, A.entries)
+        np.testing.assert_array_equal(pinch(A, np.zeros(4, dtype=int)).entries, A.entries)
 
-    def test_overlap_rejected(self):
+    def test_not_a_label_vector_rejected(self):
+        # integer labels partition the coordinates whatever their values, so
+        # the shape and the integer type are all there is to check; a NaN
+        # label would drop its coordinate's diagonal entry
         A = identity(unit_atoms(3))
-        with pytest.raises(ValueError, match="overlap"):
-            pinch(A, [[0, 1], [1, 2]])
-
-    def test_out_of_range_rejected(self):
-        A = identity(unit_atoms(2))
-        with pytest.raises(ValueError, match="out of range"):
-            pinch(A, [[0], [5]])
-
-    def test_missing_cover_rejected(self):
-        A = identity(unit_atoms(3))
-        with pytest.raises(ValueError, match="cover"):
-            pinch(A, [[0], [2]])
+        for labels in ([0, 1], [0, 1, 1, 0], [[0], [1], [2]], 0, [0.0, 1.0, np.nan]):
+            with pytest.raises(ValueError, match="labels must be 3 integers"):
+                pinch(A, labels)
 
     def test_contractive_at_p1(self):
         rng = np.random.default_rng(42)
@@ -554,16 +548,13 @@ class TestPinch:
             space = build_space(rng.uniform(0.1, 2.0, 5))
             A = MatrixOperator(rng.uniform(-1, 1, (5, 5)), space)
             assign = rng.integers(0, 3, 5)
-            blocks = [np.nonzero(assign == b)[0].tolist() for b in range(3)]
-            blocks = [b for b in blocks if b]
-            assert opnorm_p1(pinch(A, blocks)) <= opnorm_p1(A)
+            assert opnorm_p1(pinch(A, assign)) <= opnorm_p1(A)
 
     def test_block_supported_vectors_pass_through(self):
         rng = np.random.default_rng(43)
         space = build_space(rng.uniform(0.1, 2.0, 6))
         A = MatrixOperator(rng.uniform(-1, 1, (6, 6)), space)
-        blocks = [[0, 2, 4], [1, 3, 5]]
-        P = pinch(A, blocks)
+        P = pinch(A, [0, 1, 0, 1, 0, 1])
         f = np.zeros(6)
         f[[0, 2, 4]] = rng.uniform(-1, 1, 3)
         full = A.matvec(f)
