@@ -737,12 +737,64 @@ def _p1_norms(stack: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.max(_weighted_abs_colsums(stack, mu) / mu, axis=-1)
 
 
+def _uniform_from_raw(words: np.ndarray) -> np.ndarray:
+    """Generator.uniform(-1, 1) draws from raw PCG64 words, written over them.
+
+    Returns the float64 view of words.  uniform draws low + (high - low) *
+    next_double, and PCG64's next_double is (w >> 11) * 2**-53.  At
+    low = -1, high = 1 the exact result is a multiple of 2**-52 in [-1, 1),
+    which a float holds, so every rounding mode, fused multiply-add or not,
+    gives numpy's draw bit for bit.
+    """
+    floats = words.view(np.float64)
+    np.right_shift(words, 11, out=words)
+    np.multiply(words, 2.0**-52, out=floats)
+    np.subtract(floats, 1.0, out=floats)
+    return floats
+
+
+def _draw_again(
+    seed: int, t: int, derived: Sequence[np.ndarray], draws: Callable, *args: Any
+) -> list[np.ndarray]:
+    """Trial t's inputs drawn again, by draws(default_rng([seed, t]), *args)
+    through Generator's own calls.  Raises RuntimeError unless the draws
+    derived from raw words equal the first of them bit for bit; returns the
+    rest."""
+    drawn = list(draws(np.random.default_rng([seed, t]), *args))
+    if not all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(derived, drawn)):
+        raise RuntimeError(f"draws derived for trial {t} differ from those of default_rng([{seed}, {t}])")
+    return drawn[len(derived) :]
+
+
+def _pinching_draws(rng: np.random.Generator, lo: float, hi: float, dim: int) -> tuple[np.ndarray, ...]:
+    """A pinching_suite trial's inputs through Generator's documented calls:
+    masses, entries, the first block assignment and the one kept, which has
+    two nonempty blocks (or, at dimension 1, is the one block, not drawn)."""
+    masses = rng.uniform(lo, hi, dim)
+    entries = rng.uniform(-1.0, 1.0, (dim, dim))
+    first = kept = rng.integers(0, 2, dim) if dim >= 2 else np.zeros(1, dtype=np.int64)
+    while dim >= 2 and (kept.all() or not kept.any()):
+        kept = rng.integers(0, 2, dim)
+    return masses, entries, first, kept
+
+
+def _lattice_draws(rng: np.random.Generator, dim: int) -> list[np.ndarray]:
+    """A lattice_oracle trial's inputs through Generator's documented calls:
+    S, T and the modulus matrix."""
+    return [rng.uniform(-1.0, 1.0, shape) for shape in ((dim, dim), (dim, dim), (_MODULUS_DIM, _MODULUS_DIM))]
+
+
 def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     rnd = {**_MASS_RANGE, **cfg.space["random"]}
     dim, lo, hi = rnd["dimension"], rnd["mass_low"], rnd["mass_high"]
     size = _stack_size(dim * dim)
     masses = np.empty((size, dim))
     entries = np.empty((size, dim, dim))
+    # each trial's raw words: its entries, written into the stack itself, and
+    # one word per two coordinates of its first assignment
+    n2, pair_words = dim * dim, (dim + 1) // 2 if dim >= 2 else 0
+    words = entries.reshape(size, n2).view(np.uint64)
+    pairs = np.empty((size, pair_words), dtype=np.uint64)
     # one block at dimension 1, where no assignment is drawn
     assign = np.zeros((size, dim), dtype=np.int64)
     rows: list[Row] = []
@@ -750,16 +802,26 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     for start in range(0, cfg.trials, size):
         k = min(size, cfg.trials - start)
         for i, rng in zip(range(k), rngs):
+            # uniform(lo, hi) rounds, so the masses stay with numpy's own code
             masses[i] = rng.uniform(lo, hi, dim)
-            entries[i] = rng.uniform(-1.0, 1.0, (dim, dim))
-            if dim >= 2:
-                # two nonempty blocks: redraw an assignment that puts every
-                # coordinate in one block
-                a = rng.integers(0, 2, dim)
-                while a.all() or not a.any():
-                    a = rng.integers(0, 2, dim)
-                assign[i] = a
-        mu, A = masses[:k], entries[:k]
+            raw = rng.bit_generator.random_raw(n2 + pair_words)
+            words[i], pairs[i] = raw[:n2], raw[n2:]
+        # the last trial's words would outlive it by the whole stack
+        del raw
+        mu, A = masses[:k], _uniform_from_raw(words[:k]).reshape(k, dim, dim)
+        # the first trial of each seed batch is drawn again through numpy
+        again = set(range(-start % _SEED_BATCH, k, _SEED_BATCH))
+        if dim >= 2:
+            # integers(0, 2) takes the top bit of each 32-bit half of a word,
+            # low half first: Lemire's method at range 2, which never rejects
+            p = pairs[:k]
+            assign[:k] = np.stack([p >> 31 & 1, p >> 63], axis=-1).reshape(k, -1)[:, :dim]
+            # and so is a trial whose first assignment puts every coordinate
+            # in one block, which numpy then draws again as documented
+            again.update(np.flatnonzero(assign[:k].min(axis=1) == assign[:k].max(axis=1)).tolist())
+        for i in sorted(again):
+            derived = (mu[i], A[i], assign[i])
+            (assign[i],) = _draw_again(cfg.seed, start + i, derived, _pinching_draws, lo, hi, dim)
         worst = _p1_norms(_pinched(A, assign[:k]), mu).tolist()
         full = _p1_norms(A, mu).tolist()
         rows += [_make_row(start + i, w, f) for i, (w, f) in enumerate(zip(worst, full))]
@@ -873,15 +935,25 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     Sm = np.empty((size, _MODULUS_DIM, _MODULUS_DIM))
     applied = np.empty((size, _MODULUS_DIM))
     ones = np.ones(_MODULUS_DIM)
+    # each trial's raw words, written into the stacks of S, T and Sm
+    n2 = dim * dim
+    words = [X.reshape(size, -1).view(np.uint64) for X in (S, T, Sm)]
     # computed column: join/meet deviation; certified column: modulus deviation
     rows: list[Row] = []
     rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
     for start in range(0, cfg.trials, size):
         k = min(size, cfg.trials - start)
         for i, rng in zip(range(k), rngs):
-            S[i] = rng.uniform(-1.0, 1.0, (dim, dim))
-            T[i] = rng.uniform(-1.0, 1.0, (dim, dim))
-            Sm[i] = rng.uniform(-1.0, 1.0, (_MODULUS_DIM, _MODULUS_DIM))
+            raw = rng.bit_generator.random_raw(2 * n2 + _MODULUS_DIM**2)
+            words[0][i], words[1][i], words[2][i] = raw[:n2], raw[n2 : 2 * n2], raw[2 * n2 :]
+        # the last trial's words would outlive it by the whole stack
+        del raw
+        for w in words:
+            _uniform_from_raw(w[:k])
+        # the first trial of each seed batch is drawn again through numpy
+        for i in range(-start % _SEED_BATCH, k, _SEED_BATCH):
+            _draw_again(cfg.seed, start + i, (S[i], T[i], Sm[i]), _lattice_draws, dim)
+        for i in range(k):
             # the library operations under test, one trial at a time
             St, Tt = MatrixOperator(S[i], space), MatrixOperator(T[i], space)
             J[i] = join(St, Tt).entries

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -748,12 +749,12 @@ def trial_config(scenario, dim, trials, seed):
     return {"scenario": scenario, "space": {"random": random}, "trials": trials, "p": 1.0, "seed": seed}
 
 
-def per_trial_pinching(seed, dim, trials):
+def per_trial_pinching(seed, dim, trials, mass_low=0.1, mass_high=2.0):
     """Rows of pinching_suite computed one trial at a time through pinch."""
     rows = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        masses = rng.uniform(0.1, 2.0, dim)
+        masses = rng.uniform(mass_low, mass_high, dim)
         A = MatrixOperator(rng.uniform(-1.0, 1.0, (dim, dim)), build_space(masses))
         full = opnorm_p1(A)
         worst = opnorm_p1(pinch(A, np.arange(dim)))
@@ -1063,6 +1064,86 @@ class TestTrialSeeding:
         result = run_scenario(ExperimentConfig.from_dict(random_dense_config(5, (3, 7), p)))
         assert list(map(repr, result.rows)) == list(map(repr, per_level_random_dense(5, (3, 7), p)))
         assert result.passed
+
+    def test_raw_words_give_uniform_draws_exactly(self):
+        # numpy's own draws, and the exact value -1 + 2 (w >> 11) 2**-53 at
+        # the extreme words and around the sign change
+        rng = np.random.default_rng([3, 1])
+        expected = rng.uniform(-1.0, 1.0, 100_000)
+        rng = np.random.default_rng([3, 1])
+        derived = experiments._uniform_from_raw(rng.bit_generator.random_raw(100_000))
+        assert bits(derived).tolist() == bits(expected).tolist()
+        edges = [0, 2**11 - 1, 2**11, 2**62, 2**63 - 1, 2**63, 2**63 + 2**11, 2**64 - 1]
+        floats = experiments._uniform_from_raw(np.array(edges, dtype=np.uint64))
+        for w, x in zip(edges, floats.tolist()):
+            assert Fraction(x) == -1 + Fraction(2 * (w >> 11), 2**53)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_one_block_assignments_are_drawn_again(self, dim, monkeypatch):
+        # about half the first assignments at dimension 2 put both
+        # coordinates in one block; at dimension 3 the high half of each
+        # trial's last assignment word goes unused.  Batches of 7 cross the
+        # two stacks, and every assignment pinched is the documented one
+        monkeypatch.setattr(experiments, "_SEED_BATCH", 7)
+        real_draws, real_pinched = experiments._pinching_draws, experiments._pinched
+        redrawn, pinched = [], []
+
+        def draws_spy(*args):
+            draws = real_draws(*args)
+            redrawn.append(draws[2] is not draws[3])
+            return draws
+
+        def pinched_spy(A, labels):
+            pinched.extend(labels.tolist())
+            return real_pinched(A, labels)
+
+        monkeypatch.setattr(experiments, "_pinching_draws", draws_spy)
+        monkeypatch.setattr(experiments, "_pinched", pinched_spy)
+        trials = stack_size("pinching_suite", dim) + 5
+        result = run_scenario(ExperimentConfig.from_dict(trial_config("pinching_suite", dim, trials, 71)))
+        assert list(map(repr, result.rows)) == list(map(repr, per_trial_pinching(71, dim, trials)))
+        assert any(redrawn)
+        documented = []
+        for t in range(trials):
+            rng = np.random.default_rng([71, t])
+            documented.append(real_draws(rng, 0.1, 2.0, dim)[3].tolist())
+        assert pinched == documented
+
+    @pytest.mark.parametrize("mass_low, mass_high", [(1e-3, 7.5), (0.5, 0.5)])
+    def test_masses_come_from_generator_uniform(self, mass_low, mass_high):
+        cfg = trial_config("pinching_suite", 4, 300, 37)
+        cfg["space"]["random"].update(mass_low=mass_low, mass_high=mass_high)
+        result = run_scenario(ExperimentConfig.from_dict(cfg))
+        expected = per_trial_pinching(37, 4, 300, mass_low, mass_high)
+        assert list(map(repr, result.rows)) == list(map(repr, expected))
+
+    @pytest.mark.parametrize("scenario", ["pinching_suite", "lattice_oracle"])
+    def test_derived_draw_off_by_one_bit_is_an_internal_error(self, scenario, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(trial_config(scenario, 3, 20, 4)))
+        out = tmp_path / "out"
+        args = ["run", "--config", str(path), "--out", str(out)]
+        assert CliRunner().invoke(main, args).exit_code == 0
+        written = (out / f"{scenario}.csv").read_bytes()
+        real = experiments._uniform_from_raw
+        calls = []
+
+        def flipped(words):
+            # the last bit of the first entry of the first stack, once a run
+            floats = real(words)
+            if not calls:
+                floats.view(np.int64)[(0,) * floats.ndim] ^= 1
+            calls.append(True)
+            return floats
+
+        monkeypatch.setattr(experiments, "_uniform_from_raw", flipped)
+        with pytest.raises(RuntimeError, match="default_rng"):
+            run_scenario(ExperimentConfig.from_dict(trial_config(scenario, 3, 20, 4)))
+        calls.clear()
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 3
+        assert "internal error: RuntimeError" in result.output
+        assert (out / f"{scenario}.csv").read_bytes() == written
 
     def test_drifted_state_is_an_internal_error(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
