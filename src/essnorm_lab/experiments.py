@@ -46,6 +46,7 @@ from .essnorm import (
     verify_certificate,
     witness_lower_bound,
 )
+from ._pcg64 import _pcg64_states, _seed_words, _uniform_from_raw
 from .lattice import centre_decay_under_refinement, join, meet, modulus
 from .lpspace import StepFunction, _weighted_abs_colsums
 from .measure import _TAIL_KINDS as _TAIL_PARAMS
@@ -54,6 +55,7 @@ from .operators import (
     FunctionKernel,
     MatrixOperator,
     MultiplicationOperator,
+    _horner,
     _pinched,
     mult_op,
     opnorm_p1,
@@ -550,7 +552,7 @@ def _fn_callable(spec: dict) -> Callable[[np.ndarray], np.ndarray]:
     if spec["kind"] == "constant":
         c = spec["value"]
         return lambda x: c
-    return np.polynomial.Polynomial(spec["coeffs"])
+    return _horner(spec["coeffs"])
 
 
 def _fn_vector(spec: dict, dimension: int) -> np.ndarray:
@@ -565,46 +567,6 @@ def _fn_vector(spec: dict, dimension: int) -> np.ndarray:
 
 # trials whose generator states are derived together
 _SEED_BATCH = 4096
-_M32, _M128 = 2**32 - 1, 2**128 - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict[str, int]]:
-    """The PCG64 ``{"state", "inc"}`` of default_rng([seed, t]) for t in [lo, hi).
-
-    numpy's SeedSequence hashing, on uint32 arrays with one lane per trial,
-    of the words of seed (low word first) and of t, which needs hi <= 2**32;
-    then PCG64's seeding from generate_state(4, uint64).
-    """
-    words = [np.full(hi - lo, seed >> s & _M32, np.uint32) for s in range(0, max(seed.bit_length(), 1), 32)]
-    words.append(np.arange(lo, hi, dtype=np.uint32))
-    const = [0x43B0D7E5, 0x931E8875]
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        value = value ^ np.uint32(const[0])
-        const[0] = const[0] * const[1] & _M32
-        value = value * np.uint32(const[0])
-        return value ^ value >> 16
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
-        return r ^ r >> 16
-
-    # mix_entropy: a pool of 4 words, then the words past the pool
-    pool = [hashmix(words[i] if i < len(words) else np.zeros(hi - lo, np.uint32)) for i in range(4)]
-    for i, j in itertools.permutations(range(4), 2):
-        pool[j] = mix(pool[j], hashmix(pool[i]))
-    for word, j in itertools.product(words[4:], range(4)):
-        pool[j] = mix(pool[j], hashmix(word))
-    # generate_state(4, uint64): 8 uint32 outputs, paired low word first
-    const[:] = 0x8B51F9DD, 0x58F38DED
-    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    w0, w1, w2, w3 = ((out[2 * k] | out[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
-    states = []
-    for init_hi, init_lo, seq_hi, seq_lo in zip(w0, w1, w2, w3):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-        states.append({"state": ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _M128, "inc": inc})
-    return states
 
 
 def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
@@ -618,7 +580,9 @@ def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generato
     """
     rng = None
     for lo in range(start, stop, _SEED_BATCH):
-        states = _pcg64_states(seed, lo, min(lo + _SEED_BATCH, stop))
+        hi = min(lo + _SEED_BATCH, stop)
+        entropy = [np.full(hi - lo, w, np.uint32) for w in _seed_words(seed)]
+        states = _pcg64_states([*entropy, np.arange(lo, hi, dtype=np.uint32)])
         reference = np.random.default_rng([seed, lo])
         if reference.bit_generator.state["state"] != states[0]:
             raise RuntimeError(f"derived PCG64 state of trial {lo} differs from default_rng([{seed}, {lo}])")
@@ -735,22 +699,6 @@ def _p1_norms(stack: np.ndarray, mu: np.ndarray) -> np.ndarray:
     bottom; the stack is scratch and is overwritten.
     """
     return np.max(_weighted_abs_colsums(stack, mu) / mu, axis=-1)
-
-
-def _uniform_from_raw(words: np.ndarray) -> np.ndarray:
-    """Generator.uniform(-1, 1) draws from raw PCG64 words, written over them.
-
-    Returns the float64 view of words.  uniform draws low + (high - low) *
-    next_double, and PCG64's next_double is (w >> 11) * 2**-53.  At
-    low = -1, high = 1 the exact result is a multiple of 2**-52 in [-1, 1),
-    which a float holds, so every rounding mode, fused multiply-add or not,
-    gives numpy's draw bit for bit.
-    """
-    floats = words.view(np.float64)
-    np.right_shift(words, 11, out=words)
-    np.multiply(words, 2.0**-52, out=floats)
-    np.subtract(floats, 1.0, out=floats)
-    return floats
 
 
 def _draw_again(
@@ -912,11 +860,17 @@ def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, 
 def _modulus_grid_oracle(S: np.ndarray) -> np.ndarray:
     """sup over a grid of |g| <= 1 of |S g|, coordinatewise (f = all-ones).
 
-    S is a _MODULUS_DIM x _MODULUS_DIM operator or a stack of them; the
-    grid has _GRID_STEPS points per coordinate.
+    S is a stack of _MODULUS_DIM x _MODULUS_DIM operators; the grid has
+    _GRID_STEPS points per coordinate.  The grid's image, _MODULUS_DIM x
+    _GRID_STEPS**_MODULUS_DIM entries a trial, is built for one sub-stack
+    at a time, so it too holds at most _STACK_ENTRIES floats.
     """
-    image = S @ _MODULUS_GRID
-    return np.max(np.abs(image, out=image), axis=-1)
+    step = _stack_size(_MODULUS_GRID.size)
+    sup = np.empty(S.shape[:-1])
+    for lo in range(0, len(S), step):
+        image = S[lo : lo + step] @ _MODULUS_GRID
+        np.max(np.abs(image, out=image), axis=-1, out=sup[lo : lo + step])
+    return sup
 
 
 def _max_abs_diff(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -928,9 +882,9 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     dim = cfg.space["random"]["dimension"]
     space = build_space(np.ones(dim))
     small_space = build_space(np.ones(_MODULUS_DIM))
-    # a trial's largest arrays: S, T, their join and meet (dim x dim each),
-    # and the image of the modulus grid
-    size = _stack_size(max(dim * dim, _MODULUS_DIM * _GRID_STEPS**_MODULUS_DIM))
+    # a trial's largest arrays: S, T, their join and meet (dim x dim each);
+    # the modulus grid's image is taken over sub-stacks of its own
+    size = _stack_size(dim * dim)
     S, T, J, M = (np.empty((size, dim, dim)) for _ in range(4))
     Sm = np.empty((size, _MODULUS_DIM, _MODULUS_DIM))
     applied = np.empty((size, _MODULUS_DIM))

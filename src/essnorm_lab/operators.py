@@ -27,6 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from ._pcg64 import _pcg64_raw, _pcg64_states, _seed_words, _uniform_from_raw
 from .lpspace import StepFunction, _check_p, _weighted_abs_colsums
 from .measure import MeasureSpace
 
@@ -534,6 +535,25 @@ def _pinched(entries: np.ndarray, block_id: np.ndarray) -> np.ndarray:
     return np.where(block_id[..., :, None] == block_id[..., None, :], entries, 0.0)
 
 
+def _horner(coeffs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The polynomial sum_i coeffs[i] x**i, evaluated as Polynomial(coeffs)
+    evaluates it, bit for bit.
+
+    That is Horner's rule from c[-1] + x*0, on 0.0 + 1.0*x, the map of
+    Polynomial's default domain onto its window, which turns -0.0 into +0.0.
+    """
+    c = [float(v) for v in coeffs]
+
+    def value(x: np.ndarray) -> np.ndarray:
+        x = 0.0 + x
+        y = c[-1] + x * 0
+        for ci in reversed(c[:-1]):
+            y = ci + y * x
+        return y
+
+    return value
+
+
 class FunctionKernel:
     """Finite-rank integral kernel given at the function level.
 
@@ -558,17 +578,17 @@ class FunctionKernel:
     def random_polynomial(cls, rank: int, seed: int) -> "FunctionKernel":
         """Seeded kernel with polynomial factors of degree _KERNEL_DEGREE.
 
-        Coefficients are drawn i.i.d. uniform on [-1, 1) from numpy's PCG64
-        generator seeded with (seed,), in the fixed order (eta_1, g_1,
-        eta_2, g_2, ...), so the kernel is reproducible.
+        The coefficients are the draws of default_rng(seed).uniform(-1, 1),
+        taken in the fixed order (eta_1, g_1, eta_2, g_2, ...), lowest
+        degree first, so the kernel is reproducible.  They are computed
+        in-process from the PCG64 stream of SeedSequence(seed), bit for bit
+        (see _pcg64), without importing numpy.random.
         """
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(rank):
-            eta_c = rng.uniform(-1.0, 1.0, _KERNEL_DEGREE + 1)
-            g_c = rng.uniform(-1.0, 1.0, _KERNEL_DEGREE + 1)
-            pairs.append((np.polynomial.Polynomial(eta_c), np.polynomial.Polynomial(g_c)))
-        return cls(pairs)
+        n = _KERNEL_DEGREE + 1
+        (state,) = _pcg64_states(np.array(_seed_words(seed), dtype=np.uint32)[:, None])
+        coeffs = _uniform_from_raw(np.array(_pcg64_raw(state, 2 * rank * n), dtype=np.uint64)).tolist()
+        factors = [_horner(coeffs[i : i + n]) for i in range(0, len(coeffs), n)]
+        return cls(list(zip(factors[::2], factors[1::2])))
 
     def discretize(self, space: MeasureSpace) -> MatrixOperator:
         """The kernel on a given space, held as its factors.

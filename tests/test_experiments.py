@@ -793,9 +793,10 @@ def per_trial_lattice(seed, dim, trials):
 PER_TRIAL = {"pinching_suite": per_trial_pinching, "lattice_oracle": per_trial_lattice}
 
 
-def stack_size(scenario, dim):
-    # a lattice trial also holds the 3 x 125 image of its modulus grid
-    return _stack_size(dim * dim if scenario == "pinching_suite" else max(dim * dim, 375))
+def stack_size(dim):
+    # both trial scenarios stack by their dim x dim matrices; lattice_oracle
+    # takes its 3 x 125 modulus grid images over sub-stacks of their own
+    return _stack_size(dim * dim)
 
 
 def bits(a):
@@ -819,7 +820,7 @@ class TestTrialScenarios:
         # pinching suite takes the norms of the pinch, two blocks or at
         # dimension 1 one, and of the operator) records the stacks
         # actually run
-        size = stack_size(scenario, dim)
+        size = stack_size(dim)
         reference = PER_TRIAL[scenario](31, dim, size + 1)
         if scenario == "lattice_oracle":
             name, per_stack = "_one_parameter_join_meet", 1
@@ -848,7 +849,7 @@ class TestTrialScenarios:
         # the stacked reduction adds the rows of each column top to bottom,
         # as opnorm_p1 does on one operator
         rng = np.random.default_rng(dim)
-        k = stack_size("pinching_suite", dim) + 1
+        k = stack_size(dim) + 1
         mu = rng.uniform(0.1, 2.0, (k, dim))
         stack = rng.uniform(-1.0, 1.0, (k, dim, dim))
         expected = np.cumsum(np.abs(stack) * mu[:, :, None], axis=-2)[..., -1, :]
@@ -1052,7 +1053,7 @@ class TestTrialSeeding:
 
     @pytest.mark.parametrize("scenario", ["pinching_suite", "lattice_oracle"])
     def test_batches_across_stacks(self, scenario, monkeypatch):
-        # batches of 7 against stacks of 64 (pinching) and 10 (lattice)
+        # batches of 7 against stacks of 64
         monkeypatch.setattr(experiments, "_SEED_BATCH", 7)
         result = run_scenario(ExperimentConfig.from_dict(trial_config(scenario, 8, 150, 61)))
         assert list(map(repr, result.rows)) == list(map(repr, PER_TRIAL[scenario](61, 8, 150)))
@@ -1099,7 +1100,7 @@ class TestTrialSeeding:
 
         monkeypatch.setattr(experiments, "_pinching_draws", draws_spy)
         monkeypatch.setattr(experiments, "_pinched", pinched_spy)
-        trials = stack_size("pinching_suite", dim) + 5
+        trials = stack_size(dim) + 5
         result = run_scenario(ExperimentConfig.from_dict(trial_config("pinching_suite", dim, trials, 71)))
         assert list(map(repr, result.rows)) == list(map(repr, per_trial_pinching(71, dim, trials)))
         assert any(redrawn)
@@ -1164,3 +1165,31 @@ class TestTrialSeeding:
         assert result.exit_code == 3
         assert "internal error: RuntimeError" in result.output
         assert (out / "pinching_suite.csv").read_bytes() == written
+
+
+# run_scenario on the config in argv[1], then the numpy submodules loaded
+IMPORTS_PROBE = """
+import json, sys
+from essnorm_lab.experiments import ExperimentConfig, run_scenario
+assert run_scenario(ExperimentConfig.from_dict(json.loads(sys.argv[1]))).passed
+print(json.dumps([m for m in ("numpy.random", "numpy.polynomial") if m in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "perturbation, loaded",
+    [
+        # the kernel's draws and polynomials are computed in-process
+        ({"kind": "rank_one", "rank": 3, "seed": 7}, []),
+        # the control: random_dense draws through default_rng
+        ({"kind": "random_dense", "seed": 5}, ["numpy.random"]),
+    ],
+)
+def test_witness_run_imports_of_numpy(perturbation, loaded):
+    cfg = diffuse_witness_config()
+    cfg.update(perturbation=perturbation, u={"diffuse": {"kind": "poly", "coeffs": [0.25, -0.5, 1.0]}})
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    command = [sys.executable, "-c", IMPORTS_PROBE, json.dumps(cfg)]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == loaded

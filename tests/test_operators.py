@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from essnorm_lab import operators
+from essnorm_lab._pcg64 import _pcg64_raw, _pcg64_states, _seed_words
 from essnorm_lab.lattice import regular_norm
 from essnorm_lab.lpspace import StepFunction, norm_p, normalized_indicator
 from essnorm_lab.measure import build_space
@@ -10,6 +11,7 @@ from essnorm_lab.operators import (
     MatrixOperator,
     _MAX_ITER,
     _block_ascent,
+    _horner,
     _quotients_on,
     _upper_bound_on,
     mult_op,
@@ -595,7 +597,52 @@ class TestOperatorAlgebra:
             A.entries[0, 0] = 9.0
 
 
+# kernel seeds of 1 to 7 words: the SeedSequence pool holds 4, and
+# 2**200 + 3 runs past it
+KERNEL_SEEDS = [*range(300), 2**32 - 1, 2**32, 2**40 + 17, 2**64 + 5, 2**127 + 3, 10**30, 2**200 + 3]
+
+
 class TestFunctionKernel:
+    @pytest.mark.parametrize("rank", [1, 3, 64])
+    def test_coefficients_are_default_rng_draws(self, rank, monkeypatch):
+        # the factors, in the order (eta_1, g_1, eta_2, ...), are built from
+        # default_rng(seed).uniform(-1, 1, 3) draws, bit for bit
+        built = []
+        real = operators._horner
+        monkeypatch.setattr(operators, "_horner", lambda c: built.append(list(c)) or real(c))
+        for seed in KERNEL_SEEDS:
+            built.clear()
+            assert FunctionKernel.random_polynomial(rank, seed).rank == rank
+            rng = np.random.default_rng(seed)
+            expected = [rng.uniform(-1.0, 1.0, 3) for _ in range(2 * rank)]
+            assert bits(built).tolist() == bits(expected).tolist()
+
+    def test_raw_words_match_random_raw(self):
+        # the most words a kernel takes: rank 64, two factors of 3
+        for seed in KERNEL_SEEDS:
+            (state,) = _pcg64_states(np.array(_seed_words(seed), dtype=np.uint32)[:, None])
+            bit_generator = np.random.default_rng(seed).bit_generator
+            assert bit_generator.state["state"] == state
+            assert _pcg64_raw(state, 384) == bit_generator.random_raw(384).tolist()
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_horner_matches_polynomial(self, degree):
+        # signed zeros in x and in the coefficients (Polynomial maps -0.0
+        # to +0.0 first), and x large enough to overflow
+        rng = np.random.default_rng(degree)
+        x = np.concatenate(
+            [rng.uniform(-3.0, 3.0, 64), [0.0, -0.0, 1e-300, -1e-300, 1e100, -1e100, 1e300, -1e300, np.inf]]
+        )
+        cases = [[-0.0] * (degree + 1), [0.0] * (degree + 1)]
+        for _ in range(200):
+            c = rng.uniform(-1.0, 1.0, degree + 1)
+            c[rng.random(degree + 1) < 0.2] = 0.0
+            c[rng.random(degree + 1) < 0.2] = -0.0
+            cases.append(c.tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in cases:
+                assert bits(_horner(c)(x)).tolist() == bits(np.polynomial.Polynomial(c)(x)).tolist(), c
+
     def test_reproducible(self):
         k1 = FunctionKernel.random_polynomial(3, seed=7)
         k2 = FunctionKernel.random_polynomial(3, seed=7)
