@@ -34,7 +34,6 @@ from .operators import (
     _quotients_on,
     _upper_bound_on,
     mult_op,
-    p1_column_quotients,
 )
 
 __all__ = [
@@ -99,6 +98,12 @@ def diagonal_compactification(K: MatrixOperator) -> MultiplicationOperator:
     return MultiplicationOperator(K.diagonal, K.space)
 
 
+def _pinching_quotients(u: np.ndarray, d: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Column quotients |u + d| mu / mu of M_u + D, D = diag(d), as
+    p1_column_quotients computes them; d may be a stack of diagonals."""
+    return np.abs(u + d) * mu / mu
+
+
 def pinching_lower_bound(u: StepFunction, K: MatrixOperator) -> LowerBoundCertificate:
     """Lower bound |M_u + K| >= |M_u + D_K| on weighted L1, where it is exact.
 
@@ -106,7 +111,9 @@ def pinching_lower_bound(u: StepFunction, K: MatrixOperator) -> LowerBoundCertif
     M_u + K to M_u + D_K; the bound is the exact L1 norm of the latter and
     the witness is the normalized indicator of the coordinate attaining it.
     """
-    quotients = p1_column_quotients(mult_op(u) + diagonal_compactification(K))
+    if u.space != K.space:
+        raise ValueError("u and K live on different spaces")
+    quotients = _pinching_quotients(u.coefficients, diagonal_compactification(K).u_values, u.space.masses)
     j = int(np.argmax(quotients))
     bound = float(quotients[j])
     witness = normalized_indicator(u.space, [j], 1.0)
@@ -219,7 +226,7 @@ def verify_certificate(
             return False
         return cert.bound <= _upper_bound_on(mult_op(u) + K, float(p), support) * (1.0 + _VERIFY_RTOL)
     if cert.construction == PINCHING_DIAGONAL:
-        quotients = p1_column_quotients(mult_op(u) + diagonal_compactification(K))
+        quotients = _pinching_quotients(u.coefficients, diagonal_compactification(K).u_values, u.space.masses)
         if cert.bound != float(np.max(quotients)):
             return False
         if support.size != 1 or quotients[support[0]] != cert.bound:
@@ -248,20 +255,20 @@ def qn_decay_profile(K: MatrixOperator, n_max: int | None = None) -> list[float]
     return [float(np.max(_weighted_abs_colsums(entries[n:], mu[n:]) / mu)) for n in range(n_max + 1)]
 
 
-def best_diagonal_rank_k(u_values: Sequence[float], k: int) -> float:
+def best_diagonal_rank_k(u_values: Sequence[float], k: int | Sequence[int]) -> float | list[float]:
     """inf over diagonal perturbations on <= k coordinates of max_i |u_i + d_i|.
 
     Equals the (k+1)-th largest of the |u_i|: the k largest can be
     cancelled outright, and no k-coordinate support can touch the
-    (k+1)-th largest.  Returns 0 when k >= number of values.
+    (k+1)-th largest.  Returns 0 when k >= number of values.  Given a
+    sequence of k, returns the list of values, sorting |u| once.
     """
-    k = int(k)
-    if k < 0:
+    ks = np.array(k, dtype=np.int64, ndmin=1)
+    if np.any(ks < 0):
         raise ValueError("k must be >= 0")
-    values = np.sort(np.abs(np.asarray(u_values, dtype=float)))[::-1]
-    if k >= values.size:
-        return 0.0
-    return float(values[k])
+    values = np.append(np.sort(np.abs(np.asarray(u_values, dtype=float)))[::-1], 0.0)
+    out = values[np.minimum(ks, values.size - 1)].tolist()
+    return out if np.ndim(k) else out[0]
 
 
 def truncation_perturbation(u: StepFunction, n: int) -> MultiplicationOperator:

@@ -38,23 +38,22 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .essnorm import (
+    _pinching_quotients,
     best_diagonal_rank_k,
     essential_norm,
-    pinching_lower_bound,
     qn_decay_profile,
     truncation_perturbation,
     verify_certificate,
     witness_lower_bound,
 )
 from ._pcg64 import _pcg64_states, _seed_words, _uniform_from_raw
-from .lattice import centre_decay_under_refinement, join, meet, modulus
+from .lattice import _join, _meet, _modulus, centre_decay_under_refinement
 from .lpspace import StepFunction, _weighted_abs_colsums
 from .measure import _TAIL_KINDS as _TAIL_PARAMS
 from .measure import MeasureSpace, TailDescriptor, build_space
 from .operators import (
     FunctionKernel,
     MatrixOperator,
-    MultiplicationOperator,
     _horner,
     _pinched,
     mult_op,
@@ -94,7 +93,7 @@ MAX_ROWS = 2**18
 # the trial scenarios draw trials x dimension**2 entries and spend 35-80 ns
 # on each (measured on a 2-vCPU VM), so a run stays within 10-20 s;
 # atomic_limsup's k sweep caps its rows x atoms by the same number, at
-# 28-37 ns per atom and row (8-10 s)
+# 7-17 ns per atom and row (3.4-3.8 s at the cap)
 MAX_TRIAL_ENTRIES = 2**28
 # a rank-r kernel holds two n x r factors: 64 MB at level 16 and rank 64
 MAX_RANK = 64
@@ -611,16 +610,21 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
         u_atoms = np.asarray(cfg.u["atoms"], dtype=float)
     ustep = StepFunction(u_atoms, space)
     formula = essential_norm(ustep, tail)
-    order = np.argsort(-np.abs(u_atoms), kind="stable")
+    # each atom's place in the stable descending order of |u|
+    rank = np.argsort(np.argsort(-np.abs(u_atoms), kind="stable"))
 
-    rows = []
     k0, k1 = cfg.k_range
-    for k in range(k0, k1 + 1):
-        value = best_diagonal_rank_k(u_atoms, k)
-        d = np.zeros(space.dimension)
-        d[order[:k]] = -u_atoms[order[:k]]
-        cert = pinching_lower_bound(ustep, MultiplicationOperator(d, space))
-        rows.append(_make_row(k, value, cert.bound, formula))
+    ks = np.arange(k0, k1 + 1)
+    # row k's certificate is pinching_lower_bound's bound for the diagonal
+    # that cancels u on the k atoms of largest |u|; the rows go in chunks
+    # whose arrays hold at most _STACK_ENTRIES floats, or one row
+    bounds = []
+    step = _stack_size(space.dimension)
+    for lo in range(0, ks.size, step):
+        d = np.where(rank < ks[lo : lo + step, None], -u_atoms, 0.0)
+        bounds += np.max(_pinching_quotients(u_atoms, d, space.masses), axis=-1).tolist()
+    values = best_diagonal_rank_k(u_atoms, ks)
+    rows = [_make_row(k, v, b, formula) for k, v, b in zip(ks.tolist(), values, bounds)]
 
     # each certificate is fl(fl(|u_i| mu_i) / mu_i), within 2u + u**2 of the
     # exact value |u_i|; the gap's subtraction is exact and its division rounds
@@ -880,14 +884,11 @@ def _max_abs_diff(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     dim = cfg.space["random"]["dimension"]
-    space = build_space(np.ones(dim))
-    small_space = build_space(np.ones(_MODULUS_DIM))
     # a trial's largest arrays: S, T, their join and meet (dim x dim each);
     # the modulus grid's image is taken over sub-stacks of its own
     size = _stack_size(dim * dim)
-    S, T, J, M = (np.empty((size, dim, dim)) for _ in range(4))
+    S, T = (np.empty((size, dim, dim)) for _ in range(2))
     Sm = np.empty((size, _MODULUS_DIM, _MODULUS_DIM))
-    applied = np.empty((size, _MODULUS_DIM))
     ones = np.ones(_MODULUS_DIM)
     # each trial's raw words, written into the stacks of S, T and Sm
     n2 = dim * dim
@@ -907,15 +908,11 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
         # the first trial of each seed batch is drawn again through numpy
         for i in range(-start % _SEED_BATCH, k, _SEED_BATCH):
             _draw_again(cfg.seed, start + i, (S[i], T[i], Sm[i]), _lattice_draws, dim)
-        for i in range(k):
-            # the library operations under test, one trial at a time
-            St, Tt = MatrixOperator(S[i], space), MatrixOperator(T[i], space)
-            J[i] = join(St, Tt).entries
-            M[i] = meet(St, Tt).entries
-            applied[i] = modulus(MatrixOperator(Sm[i], small_space)).matvec(ones)
+        # the library's kernels under test, one call per stack
+        J, M, applied = _join(S[:k], T[:k]), _meet(S[:k], T[:k]), _modulus(Sm[:k]) @ ones
         oj, om = _one_parameter_join_meet(S[:k], T[:k])
-        dev_jm = np.maximum(_max_abs_diff(J[:k], oj), _max_abs_diff(M[:k], om)).tolist()
-        dev_mod = np.max(np.abs(_modulus_grid_oracle(Sm[:k]) - applied[:k]), axis=-1).tolist()
+        dev_jm = np.maximum(_max_abs_diff(J, oj), _max_abs_diff(M, om)).tolist()
+        dev_mod = np.max(np.abs(_modulus_grid_oracle(Sm[:k]) - applied), axis=-1).tolist()
         rows += [_make_row(start + i, jm, mod, 0.0) for i, (jm, mod) in enumerate(zip(dev_jm, dev_mod))]
 
     checks = [

@@ -50,21 +50,36 @@ class RegularDecomposition:
     disjoint_part: MatrixOperator
 
 
+def _modulus(S: np.ndarray) -> np.ndarray:
+    """The kernel of modulus: |S| entrywise, over any leading (stack) shape."""
+    return np.abs(S)
+
+
+def _join(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The kernel of join: entrywise max, over any leading (stack) shape."""
+    return np.maximum(S, T)
+
+
+def _meet(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The kernel of meet: entrywise min, over any leading (stack) shape."""
+    return np.minimum(S, T)
+
+
 def modulus(S: MatrixOperator) -> MatrixOperator:
     """|S|, realized entrywise; agrees with sup{|Sg| : |g| <= f} columnwise."""
-    return MatrixOperator(np.abs(S.entries), S.space)
+    return MatrixOperator(_modulus(S.entries), S.space)
 
 
 def join(S: MatrixOperator, T: MatrixOperator) -> MatrixOperator:
     """Lattice supremum S v T (entrywise max of the matrices)."""
     S._same_space(T)
-    return MatrixOperator(np.maximum(S.entries, T.entries), S.space)
+    return MatrixOperator(_join(S.entries, T.entries), S.space)
 
 
 def meet(S: MatrixOperator, T: MatrixOperator) -> MatrixOperator:
     """Lattice infimum S ^ T (entrywise min of the matrices)."""
     S._same_space(T)
-    return MatrixOperator(np.minimum(S.entries, T.entries), S.space)
+    return MatrixOperator(_meet(S.entries, T.entries), S.space)
 
 
 def regular_norm(S: MatrixOperator, p: float = 1.0) -> float:

@@ -13,6 +13,7 @@ from essnorm_lab.essnorm import (
     LowerBoundCertificate,
     PINCHING_DIAGONAL,
     WITNESS_PAIR,
+    _pinching_quotients,
     best_diagonal_rank_k,
     diagonal_compactification,
     essential_norm,
@@ -171,6 +172,25 @@ class TestPinchingLowerBound:
             cert = pinching_lower_bound(u, K)
             assert verify_certificate(cert, u, K, 1.0)
             assert cert.bound <= opnorm_p1(mult_op(u) + K)
+
+    def test_quotients_match_the_compressed_operator(self):
+        # the kernel gives p1_column_quotients(M_u + D) bit for bit, for one
+        # diagonal and for each row of a stack, cancelled coordinates and
+        # zeros of both signs included
+        rng = np.random.default_rng(72)
+        space = build_space(10.0 ** rng.uniform(-3, 3, 7))
+        u = rng.choice([-1.5, -0.0, 0.0, 2.0], 7) * 10.0 ** rng.uniform(-3, 3, 7)
+        D = np.where(rng.random((5, 7)) < 0.5, -u, rng.choice([-0.0, 0.0, 1.0], (5, 7)))
+        stack = _pinching_quotients(u, D, space.masses)
+        for d, row in zip(D, stack):
+            expected = p1_column_quotients(mult_op(StepFunction(u, space)) + MultiplicationOperator(d, space))
+            assert row.view(np.int64).tolist() == expected.view(np.int64).tolist()
+            assert _pinching_quotients(u, d, space.masses).view(np.int64).tolist() == row.view(np.int64).tolist()
+
+    def test_refuses_an_operator_on_another_space(self):
+        u = StepFunction([1.0, 2.0], unit_atoms(2))
+        with pytest.raises(ValueError, match="different spaces"):
+            pinching_lower_bound(u, MatrixOperator.zero(build_space((0.5, 2.0))))
 
 
 class TestWitnessSets:
@@ -677,6 +697,14 @@ class TestBestDiagonalRankK:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             best_diagonal_rank_k([1.0], -1)
+
+    def test_sequence_of_k_matches_each_k(self):
+        values = np.random.default_rng(113).choice([-2.0, -0.0, 0.0, 1.0, 2.0], 12)
+        ks = [5, 0, 12, 3, 3, 40]
+        assert best_diagonal_rank_k(values, ks) == [best_diagonal_rank_k(values, k) for k in ks]
+        assert best_diagonal_rank_k(values, range(0)) == []
+        with pytest.raises(ValueError):
+            best_diagonal_rank_k(values, [1, -1])
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(111)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from essnorm_lab import essnorm as essnorm_module
 from essnorm_lab import experiments
+from essnorm_lab import lattice as lattice_module
 from essnorm_lab.cli import main
 from essnorm_lab.experiments import (
     SCENARIOS,
@@ -31,11 +33,16 @@ from essnorm_lab.experiments import (
     emit,
     run_scenario,
 )
-from essnorm_lab.essnorm import LowerBoundCertificate, witness_lower_bound
+from essnorm_lab.essnorm import (
+    LowerBoundCertificate,
+    best_diagonal_rank_k,
+    pinching_lower_bound,
+    witness_lower_bound,
+)
 from essnorm_lab.lattice import join, meet, modulus
 from essnorm_lab.lpspace import StepFunction, _weighted_abs_colsums
 from essnorm_lab.measure import build_space
-from essnorm_lab.operators import MatrixOperator, _pinched, opnorm_p1, pinch
+from essnorm_lab.operators import MatrixOperator, MultiplicationOperator, _pinched, opnorm_p1, pinch
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = CONFIGS.parent / "src"
@@ -904,9 +911,89 @@ def test_empty_lone_column_sums_to_zero():
     assert _weighted_abs_colsums(np.empty((0, 1)), np.empty(0)).tolist() == [0.0]
 
 
+def per_k_atomic(masses, atoms, k0, k1):
+    """(k, value, certificate) of atomic_limsup computed one k at a time,
+    the certificate through pinching_lower_bound."""
+    space = build_space(masses)
+    u = StepFunction(atoms, space)
+    order = np.argsort(-np.abs(u.coefficients), kind="stable")
+    rows = []
+    for k in range(k0, k1 + 1):
+        d = np.zeros(space.dimension)
+        d[order[:k]] = -u.coefficients[order[:k]]
+        cert = pinching_lower_bound(u, MultiplicationOperator(d, space))
+        rows.append((float(k), best_diagonal_rank_k(atoms, k), cert.bound))
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 21, 200, 4096, 4097])
+def test_atomic_limsup_chunks_match_per_k_rows(n, monkeypatch):
+    # ties, zeros of both signs and negative values over masses 10**U(-3, 3);
+    # the k range starts above 0, runs past the atom count and crosses a
+    # chunk boundary, and every array of a chunk keeps to 4096 floats, or
+    # to one row where the atoms alone take more
+    rng = np.random.default_rng([28, n])
+    masses = (10.0 ** rng.uniform(-3.0, 3.0, n)).tolist()
+    atoms = np.where(rng.random(n) < 0.5, rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 3.5], n), rng.normal(size=n))
+    step = _stack_size(n)
+    k0 = max(1, n - step - 1)
+    k1 = max(k0 + step + 1, n + 2)
+    shapes = []
+    real = experiments._pinching_quotients
+    monkeypatch.setattr(
+        experiments, "_pinching_quotients", lambda u, d, mu: shapes.append(d.shape) or real(u, d, mu)
+    )
+    cfg = atomic_limsup_config()
+    cfg["space"]["atom_masses"] = masses
+    cfg.update(u={**cfg["u"], "atoms": atoms.tolist()}, k_range=[k0, k1])
+    result = run_scenario(ExperimentConfig.from_dict(cfg))
+    assert result.passed
+    rows = [(r.param, r.computed, r.certified) for r in result.rows]
+    assert list(map(repr, rows)) == list(map(repr, per_k_atomic(masses, atoms.tolist(), k0, k1)))
+    assert sum(height for height, _ in shapes) == k1 - k0 + 1 and len(shapes) >= 2
+    assert all(height * width <= 4096 or height == 1 for height, width in shapes)
+
+
+def spy_calls(monkeypatch, module, name, calls):
+    """Count the calls of ``name`` through every essnorm_lab module that
+    binds it as module's does."""
+    real = getattr(module, name)
+    calls[name] = 0
+
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    for bound in [m for key, m in sys.modules.items() if key.split(".")[0] == "essnorm_lab"]:
+        if vars(bound).get(name) is real:
+            monkeypatch.setattr(bound, name, spy)
+
+
+@pytest.mark.parametrize(
+    "config, kernels, entries",
+    [("lattice_oracle", ("_join", "_meet", "_modulus"), 25), ("atomic_limsup", ("_pinching_quotients",), 200)],
+)
+def test_shipped_runs_call_each_kernel_once_per_stack(config, kernels, entries, monkeypatch):
+    # the scenarios run the library's kernels on whole stacks, never the
+    # public per-operator functions
+    calls = {}
+    for module, name in ((lattice_module, "join"), (lattice_module, "meet"), (lattice_module, "modulus")):
+        spy_calls(monkeypatch, module, name, calls)
+    spy_calls(monkeypatch, essnorm_module, "pinching_lower_bound", calls)
+    for name in ("_join", "_meet", "_modulus", "_pinching_quotients"):
+        spy_calls(monkeypatch, experiments, name, calls)
+    cfg = ExperimentConfig.from_dict(shipped_config(config))
+    result = run_scenario(cfg)
+    assert result.passed
+    stacks = -(-len(result.rows) // _stack_size(entries))
+    assert stacks > 1
+    assert calls == {name: stacks if name in kernels else 0 for name in calls}
+
+
 def scaled(value, factor):
     """A library call's output with its numbers scaled by factor: a float,
-    a list of floats, an operator's entries or a certificate's bound."""
+    an array or a list of floats, an operator's entries or a certificate's
+    bound."""
     if isinstance(value, MatrixOperator):
         return MatrixOperator(value.entries * factor, value.space)
     if isinstance(value, LowerBoundCertificate):
@@ -929,7 +1016,7 @@ CHECK_STRENGTHS = {
     "atomic_limsup": ("atomic_limsup", {}, "best_diagonal_rank_k", "certificate_matches_value", 1e-13),
     # the same gap, moved from the certificate's side
     "atomic_limsup-pinching": (
-        "atomic_limsup", {}, "pinching_lower_bound", "certificate_matches_value", 1e-13
+        "atomic_limsup", {}, "_pinching_quotients", "certificate_matches_value", 1e-13
     ),
     # exact reproduction: 1 + 2.3e-16 rounds to 1 + 2**-52, which moves any bound by an ulp or more
     "diffuse_witness-p1": ("diffuse_witness", {}, "witness_lower_bound", "certificates_verified", 2.3e-16),
@@ -949,9 +1036,9 @@ CHECK_STRENGTHS = {
         "rankone_centre_decay", {}, "centre_decay_under_refinement", "matches_formula", 1e-10
     ),
     # an absolute deviation of at most 1e-9 on entries below 1 lets 1e-10 pass; 1e-6 exceeds it
-    "join": ("lattice_oracle", {}, "join", "join_meet_matches_oracle", 1e-6),
+    "join": ("lattice_oracle", {}, "_join", "join_meet_matches_oracle", 1e-6),
     # an absolute deviation of at most 1e-6: 1e-6 exceeds it on any row of |S| that sums past 1
-    "modulus": ("lattice_oracle", {}, "modulus", "modulus_matches_grid_oracle", 1e-6),
+    "modulus": ("lattice_oracle", {}, "_modulus", "modulus_matches_grid_oracle", 1e-6),
     # |M_u + K| within gamma_3 x max(1, tail sup) of the tail sup: 2.3e-16 stays inside, 1e-13 does not
     "truncation": (
         "atomic_limsup", {"perturbation": TRUNCATION}, "opnorm_p1", "truncation_certifies_upper_bound", 1e-13
