@@ -26,7 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .lpspace import StepFunction, _weighted_abs_colsums, norm_p, normalized_indicator
+from .lpspace import (
+    StepFunction,
+    _check_p,
+    _indicator_height,
+    _norm,
+    _weighted_abs_colsums,
+    normalized_indicator,
+)
 from .measure import TailDescriptor
 from .operators import (
     MatrixOperator,
@@ -157,8 +164,30 @@ def witness_sets(u_diffuse: Sequence[float], eps: float) -> list[tuple[int, ...]
 
 def perturbed_ratio(u: StepFunction, K: MatrixOperator, g: StepFunction, p: float) -> float:
     """Rayleigh-type quotient |(M_u + K) g|_p / |g|_p."""
-    y = u.coefficients * g.coefficients + K.matvec(g.coefficients)
-    return norm_p(StepFunction(y, u.space), p) / norm_p(g, p)
+    gc = g.coefficients
+    return _quotient(u.coefficients, K, gc, np.flatnonzero(gc), _check_p(p), np.empty(gc.size))
+
+
+def _quotient(
+    u: np.ndarray, K: MatrixOperator, g: np.ndarray, support: np.ndarray, p: float, scratch: np.ndarray
+) -> float:
+    """perturbed_ratio on coefficient vectors: |u g + K g|_p / |g|_p, p checked.
+
+    g is only read; ``support`` is an increasing index array holding every
+    nonzero of g, and ``scratch`` an n-vector that is overwritten.  The
+    float operations are those of norm_p on u g + K g and on g: K g + u g
+    adds the same terms, and float addition commutes.  At p = 1, |g| is
+    summed over the support alone, which drops exact +0.0 steps of its
+    left-to-right sum; at other p the pairwise sum needs every coordinate.
+    """
+    mu = K.space.masses
+    y = K.matvec(g)
+    y += np.multiply(u, g, out=scratch)
+    top = _norm(y, mu, p)
+    if p == 1.0:
+        return top / _norm(g[support], mu[support], p)
+    np.copyto(scratch, g)
+    return top / _norm(scratch, mu, p)
 
 
 def witness_lower_bound(
@@ -170,26 +199,43 @@ def witness_lower_bound(
     differences f_n - f_m with n < m; every candidate's quotient is a true
     lower bound for |M_u + K|, and for p = 1 the differences of deep
     witnesses annihilate fixed integral kernels, which is what drives the
-    bound up to the diffuse sup of |u| under refinement.
+    bound up to the diffuse sup of |u| under refinement.  The first
+    candidate of largest quotient wins.
     """
     if u.space != K.space:
         raise ValueError("u and K live on different spaces")
     space = u.space
     na = space.n_atoms
-    local_sets = witness_sets(u.coefficients[na:], eps)
-    fns = [
-        normalized_indicator(space, [na + i for i in s], p) for s in local_sets
-    ]
-    # each difference is built when it is evaluated, not kept
-    diffs = (StepFunction(f.coefficients - h.coefficients, space) for f, h in itertools.combinations(fns, 2))
+    sets = [na + np.array(s) for s in witness_sets(u.coefficients[na:], eps)]
+    p = _check_p(p)
+    heights = [_indicator_height(space.masses[s], p) for s in sets]
+    g = np.zeros(space.dimension)
+
+    def write(n: int, m: int | None) -> None:
+        # f_n - f_m is c_n on A_n, then c_n - c_m on A_m, a subset of A_n
+        g[sets[n]] = heights[n]
+        if m is not None:
+            g[sets[m]] = heights[n] - heights[m]
+
+    # (n, None) is f_n and (n, m) is f_n - f_m, each scored in g, which is
+    # zero off the last candidate's A_n
+    k = len(sets)
+    candidates = itertools.chain(((n, None) for n in range(k)), itertools.combinations(range(k), 2))
+    scratch = np.empty(space.dimension)
     best_ratio = -np.inf
-    best_g = fns[0]
-    for g in itertools.chain(fns, diffs):
-        r = perturbed_ratio(u, K, g, p)
+    best = (0, None)
+    last = 0
+    for n, m in candidates:
+        g[sets[last]] = 0.0
+        write(n, m)
+        r = _quotient(u.coefficients, K, g, sets[n], p, scratch)
         if r > best_ratio:
             best_ratio = r
-            best_g = g
-    return LowerBoundCertificate(bound=float(best_ratio), witness=best_g, construction=WITNESS_PAIR)
+            best = (n, m)
+        last = n
+    g.fill(0.0)
+    write(*best)
+    return LowerBoundCertificate(bound=float(best_ratio), witness=StepFunction(g, space), construction=WITNESS_PAIR)
 
 
 def verify_certificate(

@@ -92,8 +92,8 @@ MAX_ATOMS = 2**20
 MAX_ROWS = 2**18
 # the trial scenarios draw trials x dimension**2 entries and spend 35-80 ns
 # on each (measured on a 2-vCPU VM), so a run stays within 10-20 s;
-# atomic_limsup's k sweep caps its rows x atoms by the same number, at
-# 7-17 ns per atom and row (3.4-3.8 s at the cap)
+# atomic_limsup's k sweep caps its rows x atoms by the same number, more
+# than its O(atoms log atoms + rows) work needs
 MAX_TRIAL_ENTRIES = 2**28
 # a rank-r kernel holds two n x r factors: 64 MB at level 16 and rank 64
 MAX_RANK = 64
@@ -610,19 +610,17 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
         u_atoms = np.asarray(cfg.u["atoms"], dtype=float)
     ustep = StepFunction(u_atoms, space)
     formula = essential_norm(ustep, tail)
-    # each atom's place in the stable descending order of |u|
-    rank = np.argsort(np.argsort(-np.abs(u_atoms), kind="stable"))
-
     k0, k1 = cfg.k_range
     ks = np.arange(k0, k1 + 1)
     # row k's certificate is pinching_lower_bound's bound for the diagonal
-    # that cancels u on the k atoms of largest |u|; the rows go in chunks
-    # whose arrays hold at most _STACK_ENTRIES floats, or one row
-    bounds = []
-    step = _stack_size(space.dimension)
-    for lo in range(0, ks.size, step):
-        d = np.where(rank < ks[lo : lo + step, None], -u_atoms, 0.0)
-        bounds += np.max(_pinching_quotients(u_atoms, d, space.masses), axis=-1).tolist()
+    # that cancels u on the k atoms of largest |u|: a cancelled atom's
+    # quotient |u - u| mu / mu is 0.0, at most every other, so the bound is
+    # the largest quotient of the rest, a suffix maximum in the stable
+    # descending order of |u|, and 0.0 once every atom is cancelled
+    order = np.argsort(-np.abs(u_atoms), kind="stable")
+    quotients = _pinching_quotients(u_atoms, 0.0, space.masses)[order]
+    suffix_max = np.append(np.maximum.accumulate(quotients[::-1])[::-1], 0.0)
+    bounds = suffix_max[np.minimum(ks, space.n_atoms)].tolist()
     values = best_diagonal_rank_k(u_atoms, ks)
     rows = [_make_row(k, v, b, formula) for k, v, b in zip(ks.tolist(), values, bounds)]
 

@@ -26,7 +26,8 @@ def _weighted_abs_colsums(block: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
     Every p = 1 sum in the package goes through here: the column blocks of
     exact operator norms, stacks of trial matrices, ``norm_p`` at p = 1 (a
-    vector as one column) and the mass of ``normalized_indicator``.  The
+    vector as one column), both norms of a p = 1 witness quotient and the
+    mass of ``normalized_indicator``.  The
     rows are added top to bottom, whatever the width, so exact-equality
     checks are reproducible and dropping rows can only lower a sum, in
     floating point too: numpy adds the rows of a C-contiguous array of two
@@ -94,12 +95,29 @@ def norm_p(f: StepFunction, p: float) -> float:
     At p = 1 the sum is accumulated left to right over the coordinate
     order, which keeps p = 1 norms exactly reproducible.
     """
-    p = _check_p(p)
-    mu = f.space.masses
+    return _norm(f.coefficients, f.space.masses, _check_p(p))
+
+
+def _norm(v: np.ndarray, mu: np.ndarray, p: float) -> float:
+    """norm_p of the coefficient vector v over the masses mu, p checked.
+
+    Every coordinate is summed, at p != 1 by numpy's pairwise sum, whose
+    blocking depends on the length.  A writable v is scratch and is
+    overwritten; a read-only one is copied.
+    """
     if p == 1.0:
-        return float(_weighted_abs_colsums(f.coefficients[:, None], mu)[0])
-    total = float(np.sum(np.abs(f.coefficients) ** p * mu))
-    return total ** (1.0 / p)
+        return float(_weighted_abs_colsums(v[:, None], mu)[0])
+    terms = np.abs(v, out=v if v.flags.writeable else None)
+    terms **= p
+    terms *= mu
+    return float(np.sum(terms)) ** (1.0 / p)
+
+
+def _indicator_height(masses: np.ndarray, p: float) -> float:
+    """The value 1 / mu(A)^(1/p) of the normalized indicator of a set A
+    whose masses, in index order, are ``masses``; p checked."""
+    mass = float(_weighted_abs_colsums(np.ones((masses.size, 1)), masses)[0])
+    return 1.0 / mass if p == 1.0 else mass ** (-1.0 / p)
 
 
 def normalized_indicator(
@@ -116,11 +134,6 @@ def normalized_indicator(
         raise ValueError("index set must be nonempty")
     if indices[0] < 0 or indices[-1] >= space.dimension:
         raise ValueError(f"index out of range for dimension {space.dimension}")
-    mass = float(_weighted_abs_colsums(np.ones((len(indices), 1)), space.masses[indices])[0])
-    if p == 1.0:
-        c = 1.0 / mass
-    else:
-        c = mass ** (-1.0 / p)
     coeffs = np.zeros(space.dimension)
-    coeffs[indices] = c
+    coeffs[indices] = _indicator_height(space.masses[indices], p)
     return StepFunction(coeffs, space)

@@ -407,6 +407,141 @@ class TestFactoredWitness:
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def reference_candidates(u, eps, p):
+    """The witness candidates as StepFunctions: the indicators f_n, then
+    the differences f_n - f_m, n < m."""
+    space = u.space
+    na = space.n_atoms
+    fns = [normalized_indicator(space, [na + i for i in s], p) for s in witness_sets(u.coefficients[na:], eps)]
+    diffs = (StepFunction(f.coefficients - h.coefficients, space) for f, h in itertools.combinations(fns, 2))
+    return itertools.chain(fns, diffs)
+
+
+def reference_quotient(u, K, g, p):
+    """|u g + K g|_p / |g|_p as two norm_p sums over the full vector."""
+    y = u.coefficients * g.coefficients + K.matvec(g.coefficients)
+    return norm_p(StepFunction(y, u.space), p) / norm_p(g, p)
+
+
+def reference_witness_search(u, K, eps, p):
+    """witness_lower_bound as a loop over built candidates: each indicator
+    and difference a StepFunction, each quotient two norm_p sums over the
+    full vector of u g + K g and of g."""
+    candidates = reference_candidates(u, eps, p)
+    best_g = next(candidates)
+    best_ratio = -np.inf
+    for g in itertools.chain([best_g], candidates):
+        r = reference_quotient(u, K, g, p)
+        if r > best_ratio:
+            best_ratio, best_g = r, g
+    return float(best_ratio), best_g
+
+
+def assert_search_matches_reference(u, K, p, eps=0.1):
+    cert = witness_lower_bound(u, K, eps, p)
+    bound, witness = reference_witness_search(u, K, eps, p)
+    assert repr(cert.bound) == repr(bound), (u.space.dimension, p)
+    assert list(map(repr, cert.witness.coefficients.tolist())) == list(map(repr, witness.coefficients.tolist()))
+    return cert
+
+
+WITNESS_PS = [1.0, 1.5, 2.0, 3.0]
+
+
+class TestWitnessSearchMatchesReference:
+    """The search scores every candidate in one scratch vector with the
+    float operations of the built-candidate loop, so bound and witness
+    agree with it repr for repr."""
+
+    @pytest.mark.parametrize("p", WITNESS_PS)
+    @pytest.mark.parametrize("seed", [1, 3, 7, 11, 79, 109])
+    def test_rank_one_kernels(self, seed, p):
+        for level in range(4, 13):
+            u, kernel = diffuse_problem(seed, level)
+            assert_search_matches_reference(u, kernel.discretize(u.space), p)
+
+    @pytest.mark.parametrize("p", WITNESS_PS)
+    def test_no_perturbation(self, p):
+        for level in range(4, 13):
+            u, _ = diffuse_problem(0, level)
+            assert_search_matches_reference(u, MatrixOperator.zero(u.space), p)
+
+    @pytest.mark.parametrize("p", WITNESS_PS)
+    def test_ties_keep_the_first_candidate(self, p):
+        # u = 1 and K = 0 give every candidate the quotient 1.0 exactly
+        space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=8)
+        u = StepFunction.constant(1.0, space)
+        cert = assert_search_matches_reference(u, MatrixOperator.zero(space), p)
+        assert cert.bound == 1.0
+        assert np.array_equal(cert.witness.coefficients, normalized_indicator(space, range(256), p).coefficients)
+
+    @pytest.mark.parametrize("p", WITNESS_PS)
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (-0.3, 1.1)])
+    def test_every_candidate_quotient(self, interval, p):
+        # perturbed_ratio shares the search's kernel; on each candidate it
+        # must give the built-candidate quotient, whose |g| sums over the
+        # full vector (pairwise and left-to-right sums of |g| differ on
+        # most candidates, though rarely on a winner)
+        for level in range(4, 11):
+            space = build_space(diffuse_interval=interval, diffuse_level=level)
+            u = StepFunction.from_function(space, lambda x: x)
+            K = FunctionKernel.random_polynomial(3, 11).discretize(space)
+            for g in reference_candidates(u, 0.1, p):
+                assert repr(perturbed_ratio(u, K, g, p)) == repr(reference_quotient(u, K, g, p)), level
+
+    @pytest.mark.parametrize("p", WITNESS_PS)
+    def test_random_dense_perturbations(self, p):
+        for level in range(4, 10):
+            u, _ = diffuse_problem(0, level)
+            rng = np.random.default_rng([29, level])
+            K = MatrixOperator(rng.uniform(-1.0, 1.0, (u.space.dimension,) * 2), u.space)
+            assert_search_matches_reference(u, K, p)
+
+    @pytest.mark.parametrize("p", WITNESS_PS)
+    def test_space_with_atoms(self, p):
+        # atoms of unequal mass come first; the witnesses live on the cells
+        rng = np.random.default_rng(29)
+        space = build_space(rng.uniform(0.1, 2.0, 5), diffuse_interval=(0.0, 1.0), diffuse_level=7)
+        u = StepFunction(np.r_[rng.uniform(-3.0, 3.0, 5), space.cell_midpoints], space)
+        for K in (
+            FunctionKernel.random_polynomial(3, 7).discretize(space),
+            MatrixOperator(rng.uniform(-1.0, 1.0, (space.dimension,) * 2), space),
+        ):
+            cert = assert_search_matches_reference(u, K, p)
+            assert not np.any(cert.witness.coefficients[:5])
+
+    @pytest.mark.parametrize("p", WITNESS_PS)
+    def test_nan_kernel(self, p):
+        # every quotient is NaN, so no candidate beats -inf and the first
+        # indicator stands
+        u, _ = diffuse_problem(0, 5)
+        entries = np.zeros((u.space.dimension,) * 2)
+        entries[3, 7] = np.nan
+        cert = assert_search_matches_reference(u, MatrixOperator(entries, u.space), p)
+        assert cert.bound == -math.inf
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_builds_at_most_one_step_function_per_set(self, monkeypatch, p):
+        # the built-candidate loop makes m indicators, m(m - 1)/2
+        # differences and a StepFunction of u g + K g per candidate
+        u, kernel = diffuse_problem(7, 10)
+        K = kernel.discretize(u.space)
+        m = len(witness_sets(u.coefficients, 0.1))
+        built = []
+        init = StepFunction.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StepFunction, "__init__", spy)
+        witness_lower_bound(u, K, 0.1, p)
+        assert 0 < len(built) <= m + 1, (m, len(built))
+        built.clear()
+        reference_witness_search(u, K, 0.1, p)
+        assert len(built) == m + m * (m - 1) // 2 + m * (m + 1) // 2
+
+
 def full_check(cert, u, K, p, rtol=1e-12):
     """verify_certificate as it read before it checked on the witness's
     support: a witness_pair bound against an upper bound for the whole of
