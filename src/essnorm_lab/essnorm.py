@@ -38,6 +38,7 @@ from .measure import TailDescriptor
 from .operators import (
     MatrixOperator,
     MultiplicationOperator,
+    _diagonal_quotients,
     _quotients_on,
     _upper_bound_on,
     mult_op,
@@ -105,12 +106,6 @@ def diagonal_compactification(K: MatrixOperator) -> MultiplicationOperator:
     return MultiplicationOperator(K.diagonal, K.space)
 
 
-def _pinching_quotients(u: np.ndarray, d: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Column quotients |u + d| mu / mu of M_u + D, D = diag(d), as
-    p1_column_quotients computes them; d may be a stack of diagonals."""
-    return np.abs(u + d) * mu / mu
-
-
 def pinching_lower_bound(u: StepFunction, K: MatrixOperator) -> LowerBoundCertificate:
     """Lower bound |M_u + K| >= |M_u + D_K| on weighted L1, where it is exact.
 
@@ -120,7 +115,7 @@ def pinching_lower_bound(u: StepFunction, K: MatrixOperator) -> LowerBoundCertif
     """
     if u.space != K.space:
         raise ValueError("u and K live on different spaces")
-    quotients = _pinching_quotients(u.coefficients, diagonal_compactification(K).u_values, u.space.masses)
+    quotients = _diagonal_quotients(u.coefficients + diagonal_compactification(K).u_values, u.space.masses)
     j = int(np.argmax(quotients))
     bound = float(quotients[j])
     witness = normalized_indicator(u.space, [j], 1.0)
@@ -130,13 +125,15 @@ def pinching_lower_bound(u: StepFunction, K: MatrixOperator) -> LowerBoundCertif
 def witness_sets(u_diffuse: Sequence[float], eps: float) -> list[tuple[int, ...]]:
     """Descending superlevel witness sets A_1 contains A_2 contains ...
 
-    A_1 is the set of cells with |u| strictly above max|u| - eps; each
-    following set keeps the half with the largest |u| values (ties broken
-    by cell index, so the construction is deterministic), which at least
-    halves the mass at every step.  The list ends when a set is a single
-    cell.  Indices are positions within the diffuse cell block.  Raises
-    ValueError without cells or with a non-finite value, above which no
-    threshold inf - eps would select a cell.
+    A_1 is the set of cells with |u| strictly above max|u| - eps.  Like
+    that exact set, it always holds the cells attaining max|u|, also where
+    max|u| - eps rounds to max|u|.  Each following set keeps the half with
+    the largest |u| values (ties broken by cell index, so the construction
+    is deterministic), which at least halves the mass at every step.  The
+    list ends when a set is a single cell.  Indices are positions within
+    the diffuse cell block.  Raises ValueError without cells or with a
+    non-finite value, above which no threshold inf - eps would select a
+    cell.
     """
     values = np.abs(np.asarray(u_diffuse, dtype=float))
     if values.size == 0:
@@ -147,17 +144,14 @@ def witness_sets(u_diffuse: Sequence[float], eps: float) -> list[tuple[int, ...]
     eps = float(eps)
     if not 0.0 < eps < m:
         raise ValueError(f"eps must lie strictly between 0 and max|u| = {m}, got {eps}")
-    threshold = m - eps
-    # a maximizing cell always qualifies, so the superlevel set is nonempty;
-    # the stable sort keeps cells of equal |u| in index order
-    selected = np.flatnonzero(values > threshold)
+    # m - eps rounds to m when eps is tiny against m, and then only the
+    # maximizers pass; the stable sort keeps equal |u| in index order
+    selected = np.flatnonzero((values > m - eps) | (values == m))
     order = selected[np.argsort(-values[selected], kind="stable")]
     sets: list[tuple[int, ...]] = []
     size = order.size
-    while True:
+    while size:
         sets.append(tuple(np.sort(order[:size]).tolist()))
-        if size == 1:
-            break
         size //= 2
     return sets
 
@@ -272,7 +266,7 @@ def verify_certificate(
             return False
         return cert.bound <= _upper_bound_on(mult_op(u) + K, float(p), support) * (1.0 + _VERIFY_RTOL)
     if cert.construction == PINCHING_DIAGONAL:
-        quotients = _pinching_quotients(u.coefficients, diagonal_compactification(K).u_values, u.space.masses)
+        quotients = _diagonal_quotients(u.coefficients + diagonal_compactification(K).u_values, u.space.masses)
         if cert.bound != float(np.max(quotients)):
             return False
         if support.size != 1 or quotients[support[0]] != cert.bound:

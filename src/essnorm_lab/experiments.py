@@ -38,7 +38,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .essnorm import (
-    _pinching_quotients,
     best_diagonal_rank_k,
     essential_norm,
     qn_decay_profile,
@@ -54,6 +53,7 @@ from .measure import MeasureSpace, TailDescriptor, build_space
 from .operators import (
     FunctionKernel,
     MatrixOperator,
+    _diagonal_quotients,
     _horner,
     _pinched,
     mult_op,
@@ -91,9 +91,7 @@ MAX_ATOMS = 2**20
 # emits them: 2**18 rows take about 75 MB
 MAX_ROWS = 2**18
 # the trial scenarios draw trials x dimension**2 entries and spend 35-80 ns
-# on each (measured on a 2-vCPU VM), so a run stays within 10-20 s;
-# atomic_limsup's k sweep caps its rows x atoms by the same number, more
-# than its O(atoms log atoms + rows) work needs
+# on each (measured on a 2-vCPU VM), so a run stays within 10-20 s
 MAX_TRIAL_ENTRIES = 2**28
 # a rank-r kernel holds two n x r factors: 64 MB at level 16 and rank 64
 MAX_RANK = 64
@@ -346,7 +344,8 @@ _FIELDS: dict[str, Callable[[Any, str], Any]] = {
     "p": _as_p,
     "epsilon": _as_positive,
     "levels": _sweep_in(0, MAX_LEVEL),
-    "k_range": _sweep_in(0),
+    # every k from the atom count up gives the same row
+    "k_range": _sweep_in(0, MAX_ATOMS),
     "n_max": _int_in(0),
     "trials": _int_in(1, MAX_ROWS, "a run holds one row per trial"),
     "seed": _seed,
@@ -467,8 +466,6 @@ class ExperimentConfig:
             dim = self.space["random"]["dimension"]
             if self.trials * dim * dim > MAX_TRIAL_ENTRIES:
                 raise ConfigError("trials", f"trials x dimension**2 must be <= {MAX_TRIAL_ENTRIES}")
-        if self.k_range is not None and (self.k_range[1] - self.k_range[0] + 1) * atoms > MAX_TRIAL_ENTRIES:
-            raise ConfigError("k_range", f"(k1 - k0 + 1) x atoms must be <= {MAX_TRIAL_ENTRIES}")
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps({k: v for k, v in vars(self).items() if v is not None}))
@@ -568,29 +565,25 @@ def _fn_vector(spec: dict, dimension: int) -> np.ndarray:
 _SEED_BATCH = 4096
 
 
-def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[tuple[np.random.Generator, bool]]:
     """For each t in [start, stop), a generator in the state of
-    ``default_rng([seed, t])``.
+    ``default_rng([seed, t])``, and whether t opens a batch.
 
     One generator is reseeded per trial, so each one yielded is valid only
-    until the next is drawn.  The states are derived in batches, and the
-    first of each batch is checked against default_rng, so a numpy that
-    seeds differently raises RuntimeError instead of changing the draws.
+    until the next is drawn.  The states are derived in batches, whose
+    first trials the caller draws again through _draw_again, so a numpy
+    that seeds differently raises RuntimeError instead of changing draws.
     """
-    rng = None
+    rng = np.random.Generator(np.random.PCG64())
     for lo in range(start, stop, _SEED_BATCH):
         hi = min(lo + _SEED_BATCH, stop)
         entropy = [np.full(hi - lo, w, np.uint32) for w in _seed_words(seed)]
         states = _pcg64_states([*entropy, np.arange(lo, hi, dtype=np.uint32)])
-        reference = np.random.default_rng([seed, lo])
-        if reference.bit_generator.state["state"] != states[0]:
-            raise RuntimeError(f"derived PCG64 state of trial {lo} differs from default_rng([{seed}, {lo}])")
-        rng = reference if rng is None else rng
-        for state in states:
+        for t, state in enumerate(states, lo):
             rng.bit_generator.state = {
                 "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0
             }
-            yield rng
+            yield rng, t == lo
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +609,9 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
     # that cancels u on the k atoms of largest |u|: a cancelled atom's
     # quotient |u - u| mu / mu is 0.0, at most every other, so the bound is
     # the largest quotient of the rest, a suffix maximum in the stable
-    # descending order of |u|, and 0.0 once every atom is cancelled
+    # descending order of |u| (|u + 0| is |u|), and 0.0 once all are cancelled
     order = np.argsort(-np.abs(u_atoms), kind="stable")
-    quotients = _pinching_quotients(u_atoms, 0.0, space.masses)[order]
+    quotients = _diagonal_quotients(u_atoms, space.masses)[order]
     suffix_max = np.append(np.maximum.accumulate(quotients[::-1])[::-1], 0.0)
     bounds = suffix_max[np.minimum(ks, space.n_atoms)].tolist()
     values = best_diagonal_rank_k(u_atoms, ks)
@@ -659,8 +652,6 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
 
     rows = []
     l0, l1 = cfg.levels
-    if pert["kind"] == "random_dense":
-        rngs = _trial_rngs(pert["seed"], l0, l1 + 1)
     for level in range(l0, l1 + 1):
         space = build_space(diffuse_interval=(a, b), diffuse_level=level)
         u_l = StepFunction.from_function(space, ufn)
@@ -677,8 +668,9 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
             K = MatrixOperator.zero(space)
         elif pert["kind"] == "rank_one":
             K = kernel.discretize(space)
-        else:  # random_dense
-            K = MatrixOperator(next(rngs).uniform(-1.0, 1.0, (space.dimension, space.dimension)), space)
+        else:  # random_dense: each level draws from default_rng([seed, level])
+            rng = np.random.default_rng([pert["seed"], level])
+            K = MatrixOperator(rng.uniform(-1.0, 1.0, (space.dimension, space.dimension)), space)
         cert = witness_lower_bound(u_l, K, cfg.epsilon, cfg.p)
         # a bound that fails verification certifies nothing
         certified = cert.bound if verify_certificate(cert, u_l, K, cfg.p) else None
@@ -751,16 +743,18 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
     for start in range(0, cfg.trials, size):
         k = min(size, cfg.trials - start)
-        for i, rng in zip(range(k), rngs):
+        # the first trial of each seed batch is drawn again through numpy
+        again = set()
+        for i, (rng, opens_batch) in zip(range(k), rngs):
             # uniform(lo, hi) rounds, so the masses stay with numpy's own code
             masses[i] = rng.uniform(lo, hi, dim)
             raw = rng.bit_generator.random_raw(n2 + pair_words)
             words[i], pairs[i] = raw[:n2], raw[n2:]
+            if opens_batch:
+                again.add(i)
         # the last trial's words would outlive it by the whole stack
         del raw
         mu, A = masses[:k], _uniform_from_raw(words[:k]).reshape(k, dim, dim)
-        # the first trial of each seed batch is drawn again through numpy
-        again = set(range(-start % _SEED_BATCH, k, _SEED_BATCH))
         if dim >= 2:
             # integers(0, 2) takes the top bit of each 32-bit half of a word,
             # low half first: Lemire's method at range 2, which never rejects
@@ -896,15 +890,18 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
     for start in range(0, cfg.trials, size):
         k = min(size, cfg.trials - start)
-        for i, rng in zip(range(k), rngs):
+        # the first trial of each seed batch is drawn again through numpy
+        again = []
+        for i, (rng, opens_batch) in zip(range(k), rngs):
             raw = rng.bit_generator.random_raw(2 * n2 + _MODULUS_DIM**2)
             words[0][i], words[1][i], words[2][i] = raw[:n2], raw[n2 : 2 * n2], raw[2 * n2 :]
+            if opens_batch:
+                again.append(i)
         # the last trial's words would outlive it by the whole stack
         del raw
         for w in words:
             _uniform_from_raw(w[:k])
-        # the first trial of each seed batch is drawn again through numpy
-        for i in range(-start % _SEED_BATCH, k, _SEED_BATCH):
+        for i in again:
             _draw_again(cfg.seed, start + i, (S[i], T[i], Sm[i]), _lattice_draws, dim)
         # the library's kernels under test, one call per stack
         J, M, applied = _join(S[:k], T[:k]), _meet(S[:k], T[:k]), _modulus(Sm[:k]) @ ones

@@ -265,14 +265,20 @@ def _column_blocks(A: MatrixOperator, cols: np.ndarray) -> Iterator[tuple[int, i
         )
 
 
+def _diagonal_quotients(d: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Column quotients |d| mu / mu of diag(d) over masses mu, as
+    p1_column_quotients computes them: the one nonzero of each column is
+    its sum, as adding zeros is exact.  d may be a stack of diagonals."""
+    return np.abs(d) * mu / mu
+
+
 def _quotients_on(A: MatrixOperator, cols: np.ndarray) -> np.ndarray:
     """Column quotients of A on the strictly increasing columns ``cols``:
     entry t is p1_column_quotients(A)[cols[t]], bit for bit, at
-    O(n len(cols) r) cost for a factored A.  A diagonal-only A costs O(n):
-    the one nonzero of each column is its sum, as adding zeros is exact."""
+    O(n len(cols) r) cost for a factored A, and O(n) for a diagonal-only A."""
     mu = A.space.masses
     if A._diagonal_only:
-        return (np.abs(A.diagonal) * mu / mu)[cols]
+        return _diagonal_quotients(A.diagonal, mu)[cols]
     colsums = np.empty(cols.size)
     for lo, hi, block in _column_blocks(A, cols):
         colsums[lo:hi] = _weighted_abs_colsums(block, mu)

@@ -260,14 +260,15 @@ class TestSizeLimits:
         assert_refused(tmp_path, shipped("atomic_limsup", k_range=[5, 5 + MAX_ROWS]), "k_range")
 
     def test_k_range_bounded_by_atom_rows_scanned(self, tmp_path):
-        # atomic_limsup scans every atom at each k
+        # atomic_limsup sorts its atoms once and reads each row from one
+        # suffix maximum, so rows x atoms is not capped; k stops at the
+        # largest atom count, past which every row is the same
         raw = shipped("atomic_limsup")
-        assert_accepted(tmp_path, raw)
         raw["space"]["atom_masses"]["count"] = MAX_ATOMS
-        most = MAX_TRIAL_ENTRIES // MAX_ATOMS
-        assert_accepted(tmp_path, dict(raw, k_range=[3, 3 + most - 1]))
-        assert_refused(tmp_path, dict(raw, k_range=[3, 3 + most]), "k_range")
-        assert_refused(tmp_path, dict(raw, k_range=[0, MAX_ROWS - 1]), "k_range")
+        assert_accepted(tmp_path, dict(raw, k_range=[0, MAX_ROWS - 1]))
+        assert_accepted(tmp_path, dict(raw, k_range=[MAX_ATOMS - MAX_ROWS + 1, MAX_ATOMS]))
+        assert_refused(tmp_path, dict(raw, k_range=[MAX_ATOMS, MAX_ATOMS + 1]), "k_range")
+        assert_refused(tmp_path, dict(raw, k_range=[2**63 - 1, 2**63]), "k_range")
 
     def test_kernel_rank_bounded(self, tmp_path):
         raw = shipped("diffuse_witness")

@@ -13,7 +13,6 @@ from essnorm_lab.essnorm import (
     LowerBoundCertificate,
     PINCHING_DIAGONAL,
     WITNESS_PAIR,
-    _pinching_quotients,
     best_diagonal_rank_k,
     diagonal_compactification,
     essential_norm,
@@ -33,6 +32,7 @@ from essnorm_lab.operators import (
     FunctionKernel,
     MatrixOperator,
     MultiplicationOperator,
+    _diagonal_quotients,
     _quotients_on,
     mult_op,
     opnorm_p1,
@@ -181,11 +181,11 @@ class TestPinchingLowerBound:
         space = build_space(10.0 ** rng.uniform(-3, 3, 7))
         u = rng.choice([-1.5, -0.0, 0.0, 2.0], 7) * 10.0 ** rng.uniform(-3, 3, 7)
         D = np.where(rng.random((5, 7)) < 0.5, -u, rng.choice([-0.0, 0.0, 1.0], (5, 7)))
-        stack = _pinching_quotients(u, D, space.masses)
+        stack = _diagonal_quotients(u + D, space.masses)
         for d, row in zip(D, stack):
             expected = p1_column_quotients(mult_op(StepFunction(u, space)) + MultiplicationOperator(d, space))
             assert row.view(np.int64).tolist() == expected.view(np.int64).tolist()
-            assert _pinching_quotients(u, d, space.masses).view(np.int64).tolist() == row.view(np.int64).tolist()
+            assert _diagonal_quotients(u + d, space.masses).view(np.int64).tolist() == row.view(np.int64).tolist()
 
     def test_refuses_an_operator_on_another_space(self):
         u = StepFunction([1.0, 2.0], unit_atoms(2))
@@ -206,6 +206,13 @@ class TestWitnessSets:
 
     def test_single_cell(self):
         assert witness_sets([0.9], 0.5) == [(0,)]
+
+    def test_eps_below_half_an_ulp_keeps_the_maximizers(self):
+        # max|u| - eps rounds to max|u|, above which no cell lies; the exact
+        # set {|u| > max|u| - eps} holds the maximizers, and so does A_1
+        assert witness_sets([0.125, 0.375, 0.625, 0.875], 1e-17) == [(3,)]
+        assert witness_sets([1.0, -0.5, -1.0, 1.0], 1e-17) == [(0, 2, 3), (0,)]
+        assert witness_sets([0.0, 1e300, 2e300], 0.1) == [(2,)]
 
     def test_masses_halve(self):
         space = build_space(diffuse_interval=(0.0, 1.0), diffuse_level=6)

@@ -938,14 +938,14 @@ def test_atomic_limsup_chunks_match_per_k_rows(n, monkeypatch):
     k0 = max(1, n - step - 1)
     k1 = max(k0 + step + 1, n + 2)
     shapes = []
-    real = experiments._pinching_quotients
+    real = experiments._diagonal_quotients
 
-    def spy(u, d, mu):
-        out = real(u, d, mu)
-        shapes.append((np.shape(u), np.shape(d), np.shape(mu), out.shape))
+    def spy(d, mu):
+        out = real(d, mu)
+        shapes.append((np.shape(d), np.shape(mu), out.shape))
         return out
 
-    monkeypatch.setattr(experiments, "_pinching_quotients", spy)
+    monkeypatch.setattr(experiments, "_diagonal_quotients", spy)
     cfg = atomic_limsup_config()
     cfg["space"]["atom_masses"] = masses
     cfg.update(u={**cfg["u"], "atoms": atoms.tolist()}, k_range=[k0, k1])
@@ -953,7 +953,7 @@ def test_atomic_limsup_chunks_match_per_k_rows(n, monkeypatch):
     assert result.passed
     rows = [(r.param, r.computed, r.certified) for r in result.rows]
     assert list(map(repr, rows)) == list(map(repr, per_k_atomic(masses, atoms.tolist(), k0, k1)))
-    assert shapes == [((n,), (), (n,), (n,))]
+    assert shapes == [((n,), (n,), (n,))]
 
 
 def spy_calls(monkeypatch, module, name, calls):
@@ -973,7 +973,7 @@ def spy_calls(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize(
     "config, kernels, entries",
-    [("lattice_oracle", ("_join", "_meet", "_modulus"), 25), ("atomic_limsup", ("_pinching_quotients",), 200)],
+    [("lattice_oracle", ("_join", "_meet", "_modulus"), 25), ("atomic_limsup", ("_diagonal_quotients",), 200)],
 )
 def test_shipped_runs_call_each_kernel_once_per_stack(config, kernels, entries, monkeypatch):
     # the scenarios run the library's kernels on whole stacks, never the
@@ -982,7 +982,7 @@ def test_shipped_runs_call_each_kernel_once_per_stack(config, kernels, entries, 
     for module, name in ((lattice_module, "join"), (lattice_module, "meet"), (lattice_module, "modulus")):
         spy_calls(monkeypatch, module, name, calls)
     spy_calls(monkeypatch, essnorm_module, "pinching_lower_bound", calls)
-    for name in ("_join", "_meet", "_modulus", "_pinching_quotients"):
+    for name in ("_join", "_meet", "_modulus", "_diagonal_quotients"):
         spy_calls(monkeypatch, experiments, name, calls)
     cfg = ExperimentConfig.from_dict(shipped_config(config))
     result = run_scenario(cfg)
@@ -1022,7 +1022,7 @@ CHECK_STRENGTHS = {
     "atomic_limsup": ("atomic_limsup", {}, "best_diagonal_rank_k", "certificate_matches_value", 1e-13),
     # the same gap, moved from the certificate's side
     "atomic_limsup-pinching": (
-        "atomic_limsup", {}, "_pinching_quotients", "certificate_matches_value", 1e-13
+        "atomic_limsup", {}, "_diagonal_quotients", "certificate_matches_value", 1e-13
     ),
     # exact reproduction: 1 + 2.3e-16 rounds to 1 + 2**-52, which moves any bound by an ulp or more
     "diffuse_witness-p1": ("diffuse_witness", {}, "witness_lower_bound", "certificates_verified", 2.3e-16),
@@ -1127,11 +1127,13 @@ class TestTrialSeeding:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128 + 7, 2**200 + 3])
     def test_matches_default_rng_draw_for_draw(self, seed):
         # seeds of 1 to 7 words, so the entropy runs past the pool of 4;
-        # trials across a batch boundary and up to the last one-word index
+        # trials across a batch boundary and up to the last one-word index,
+        # each batch opened at start and every _SEED_BATCH trials past it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for start, stop in ((0, 3), (_SEED_BATCH - 2, _SEED_BATCH + 4), (2**32 - 3, 2**32)):
-                for t, rng in zip(range(start, stop), _trial_rngs(seed, start, stop), strict=True):
+                for t, (rng, opens) in zip(range(start, stop), _trial_rngs(seed, start, stop), strict=True):
+                    assert opens == ((t - start) % _SEED_BATCH == 0)
                     expected = np.random.default_rng([seed, t])
                     for args in ((0.1, 2.0, 5), (-1.0, 1.0, (3, 3))):
                         assert bits(rng.uniform(*args)).tolist() == bits(expected.uniform(*args)).tolist()
@@ -1151,10 +1153,8 @@ class TestTrialSeeding:
         result = run_scenario(ExperimentConfig.from_dict(trial_config(scenario, 8, 150, 61)))
         assert list(map(repr, result.rows)) == list(map(repr, PER_TRIAL[scenario](61, 8, 150)))
 
-    @pytest.mark.parametrize("batch", [2, _SEED_BATCH])
     @pytest.mark.parametrize("p", [1.0, 1.5])
-    def test_random_dense_levels_match_per_level_rng(self, p, batch, monkeypatch):
-        monkeypatch.setattr(experiments, "_SEED_BATCH", batch)
+    def test_random_dense_levels_match_per_level_rng(self, p):
         result = run_scenario(ExperimentConfig.from_dict(random_dense_config(5, (3, 7), p)))
         assert list(map(repr, result.rows)) == list(map(repr, per_level_random_dense(5, (3, 7), p)))
         assert result.passed
