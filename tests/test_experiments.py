@@ -1153,8 +1153,12 @@ class TestTrialSeeding:
         result = run_scenario(ExperimentConfig.from_dict(trial_config(scenario, 8, 150, 61)))
         assert list(map(repr, result.rows)) == list(map(repr, PER_TRIAL[scenario](61, 8, 150)))
 
+    @pytest.mark.parametrize("batch", [2, _SEED_BATCH])
     @pytest.mark.parametrize("p", [1.0, 1.5])
-    def test_random_dense_levels_match_per_level_rng(self, p):
+    def test_random_dense_levels_match_per_level_rng(self, p, batch, monkeypatch):
+        # the levels seed default_rng([seed, level]) directly, so the seed
+        # batch size must not change a single row
+        monkeypatch.setattr(experiments, "_SEED_BATCH", batch)
         result = run_scenario(ExperimentConfig.from_dict(random_dense_config(5, (3, 7), p)))
         assert list(map(repr, result.rows)) == list(map(repr, per_level_random_dense(5, (3, 7), p)))
         assert result.passed
