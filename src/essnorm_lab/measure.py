@@ -126,6 +126,20 @@ class TailDescriptor:
         c1, c2 = self.params
         return c1 if n % 2 == 1 else c2
 
+    def values(self, n: int) -> np.ndarray:
+        """Values at the atom indices 1..n, equal to ``[value(i) for i in
+        range(1, n + 1)]`` bit for bit."""
+        if n < 0:
+            raise ValueError("atom count must be >= 0")
+        if self.kind == "harmonic_limit":
+            c, alpha = self.params
+            return c + alpha / np.arange(1, n + 1, dtype=float)
+        if self.kind == "alternating":
+            out = np.empty(n)
+            out[0::2], out[1::2] = self.params
+            return out
+        return np.full(n, self.params[0] if self.kind == "constant_limit" else 0.0)
+
 
 @dataclass(frozen=True)
 class MeasureSpace:
@@ -143,10 +157,12 @@ class MeasureSpace:
     diffuse_level: int = 0
 
     def __post_init__(self) -> None:
-        masses = tuple(float(m) for m in self.atom_masses)
-        for m in masses:
-            if not (math.isfinite(m) and m > 0.0):
-                raise ValueError(f"atom masses must be positive and finite, got {m}")
+        masses = tuple(map(float, self.atom_masses))
+        arr = np.array(masses)
+        valid = np.isfinite(arr) & (arr > 0.0)
+        if not valid.all():
+            bad = masses[int(np.argmin(valid))]
+            raise ValueError(f"atom masses must be positive and finite, got {bad}")
         object.__setattr__(self, "atom_masses", masses)
 
         if self.diffuse_interval is not None:

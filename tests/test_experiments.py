@@ -1,8 +1,11 @@
 import ast
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -451,10 +454,17 @@ def callers_in_experiments(callee):
     return callers
 
 
-def test_rows_are_made_only_by_make_row():
-    # _make_row refuses a value beyond the float range; a runner that built
-    # its own Row would skip that refusal
-    assert callers_in_experiments("Row") == ["_make_row"]
+def test_rows_are_made_only_by_make_rows():
+    # _make_rows refuses a value beyond the float range; a runner that built
+    # its own Row, a result from a Row list, or columns of its own would
+    # skip that refusal.  Row is built only by the view of checked columns,
+    # and every function that builds a result from columns makes its rows
+    # through _make_rows
+    assert callers_in_experiments("Row") == ["rows"]
+    assert callers_in_experiments("ScenarioResult") == []
+    runners = {entry.run.__name__ for entry in experiments._SCENARIOS.values()}
+    assert set(callers_in_experiments("from_columns")) == runners
+    assert set(callers_in_experiments("_make_rows")) == runners
 
 
 def test_files_are_written_through_one_path():
@@ -553,6 +563,99 @@ class TestEmit:
         emit(run_scenario(cfg), tmp_path, cfg)
         echoed = json.loads((tmp_path / "qn_decay.config.json").read_text())
         assert ExperimentConfig.from_dict(echoed) == cfg
+
+
+def csv_writer_bytes(rows):
+    """The CSV of a Row list as csv.writer writes it, each number as %.12g."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(experiments.CSV_HEADER)
+    for row in rows:
+        writer.writerow(["" if v is None else f"{v:.12g}" for v in dataclasses.astuple(row)])
+    return text.getvalue().encode()
+
+
+class TestRowColumns:
+    def test_non_finite_in_mid_stack_names_row_and_first_column(self, monkeypatch):
+        # stacks of 64 trials at dimension 8; in the second stack, trial 100
+        # gets a NaN computed value and an inf certificate, and trial 120 an
+        # inf computed value.  The run stops at that stack and names trial
+        # 100 and its first bad column, without a RuntimeWarning
+        assert _stack_size(64) == 64
+        real = experiments._p1_norms
+        calls = []
+
+        def spoiled(X, mu):
+            out = real(X, mu)
+            calls.append(len(X))
+            if len(calls) == 3:
+                out[100 - 64], out[120 - 64] = np.nan, np.inf
+            elif len(calls) == 4:
+                out[100 - 64] = np.inf
+            return out
+
+        monkeypatch.setattr(experiments, "_p1_norms", spoiled)
+        cfg = ExperimentConfig.from_dict(trial_config("pinching_suite", 8, 200, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as info:
+                run_scenario(cfg)
+        assert str(info.value) == "<root>: row 100: computed = nan leaves the float range"
+        assert calls == [64, 64, 64, 64]
+
+    def test_residual_beyond_float_range_in_mid_block(self):
+        # row 0's residual 1 + 1e308 is finite; row 2's 1.5e308 + 1e308 is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=re.escape("row 2: residual = inf leaves the float range")):
+                experiments._make_rows(range(4), [1.0, 2.0, 1.5e308, 3.0], None, -1e308)
+
+    def test_unverified_witness_row_emits_an_empty_cell(self, monkeypatch, tmp_path):
+        nudge_witness_bounds(monkeypatch)
+        cfg = ExperimentConfig.from_dict(shipped_config("diffuse_witness"))
+        result = run_scenario(cfg)
+        emit(result, tmp_path, cfg)
+        lines = (tmp_path / "diffuse_witness.csv").read_bytes().split(b"\r\n")
+        assert lines[-1] == b""
+        cells = [line.split(b",") for line in lines[1:-1]]
+        assert len(cells) == 7
+        assert all(len(c) == 5 and c[2] == b"" and all(c[:2] + c[3:]) for c in cells)
+        assert all(row.certified is None for row in result.rows)
+
+    def rows_and_columns(self):
+        """(result, rows) pairs: each shipped config's result with its own
+        Row view, and a result joined from three blocks, whose columns mix
+        empty and full cells, with its table written out as Row values."""
+        results = [run_scenario(ExperimentConfig.from_dict(shipped_config(name))) for name in SCENARIOS]
+        blocks = [
+            experiments._make_rows([0], 1.0 / 3.0, None, 0.0),
+            experiments._make_rows([1, 2], [-0.0, 1e300], [2.5, 5e-324]),
+            experiments._make_rows([3], 7.0, None, None),
+        ]
+        mixed = ScenarioResult.from_columns("qn_decay", *experiments._joined(blocks), [Check("mixed", True)])
+        rows = [
+            Row(0.0, 1.0 / 3.0, None, 0.0, 1.0 / 3.0),
+            Row(1.0, -0.0, 2.5, None, None),
+            Row(2.0, 1e300, 5e-324, None, None),
+            Row(3.0, 7.0, None, None, None),
+        ]
+        return [(r, r.rows) for r in results] + [(mixed, rows)]
+
+    @pytest.mark.parametrize("chunk", [2, experiments._CSV_CHUNK])
+    def test_row_list_and_columns_give_equal_rows_and_bytes(self, chunk, tmp_path, monkeypatch):
+        # both as csv.writer writes the rows, whatever the chunk size
+        monkeypatch.setattr(experiments, "_CSV_CHUNK", chunk)
+        for i, (from_columns, rows) in enumerate(self.rows_and_columns()):
+            from_rows = ScenarioResult(from_columns.scenario, rows, from_columns.checks)
+            assert from_columns.rows == rows and from_rows.rows == rows
+            assert list(map(repr, from_columns.rows)) == list(map(repr, rows))
+            written = []
+            for side, result in (("columns", from_columns), ("rows", from_rows)):
+                emit(result, tmp_path / f"{side}{i}")
+                written.append([(tmp_path / f"{side}{i}" / f"{result.scenario}.{ext}").read_bytes()
+                                for ext in ("csv", "report.txt")])
+            assert written[0] == written[1]
+            assert written[0][0] == csv_writer_bytes(rows)
 
 
 class TestCli:

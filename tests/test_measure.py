@@ -28,6 +28,19 @@ class TestBuildSpace:
         with pytest.raises(ValueError, match="positive"):
             build_space((1.0, mass))
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, "-2.5"])
+    def test_first_bad_mass_named(self, bad):
+        # one array test over all masses; the error names the first bad one,
+        # as float() reads it, and not the bad masses after it
+        with pytest.raises(ValueError) as info:
+            build_space([1.0, 2.0, bad, -7.0, np.nan])
+        assert str(info.value) == f"atom masses must be positive and finite, got {float(bad)}"
+
+    def test_masses_kept_as_a_tuple_of_floats(self):
+        space = build_space(np.array([0.5, 2.0]))
+        assert space.atom_masses == (0.5, 2.0)
+        assert all(type(m) is float for m in space.atom_masses)
+
     def test_backwards_interval_rejected(self):
         with pytest.raises(ValueError, match="positive length"):
             build_space(diffuse_interval=(1.0, 0.0))
@@ -121,6 +134,31 @@ class TestTailDescriptor:
         alt = TailDescriptor.alternating(2.0, -3.0)
         assert [alt.value(n) for n in (1, 2, 3)] == [2.0, -3.0, 2.0]
         assert TailDescriptor.finitely_supported().value(10) == 0.0
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            TailDescriptor.finitely_supported(),
+            TailDescriptor.constant_limit(-0.0),
+            TailDescriptor.constant_limit(-2.5),
+            TailDescriptor.harmonic_limit(-0.0, -0.0),
+            TailDescriptor.harmonic_limit(-1.0, 3.0),
+            TailDescriptor.harmonic_limit(0.1, -1e-300),
+            TailDescriptor.alternating(-0.0, 0.0),
+            TailDescriptor.alternating(-3.0, 7.25),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+    def test_values_match_value_bit_for_bit(self, tail, n):
+        expected = np.array([tail.value(i) for i in range(1, n + 1)], dtype=float)
+        got = tail.values(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    def test_values_of_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            TailDescriptor.constant_limit(1.0).values(-1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown tail kind"):
