@@ -86,17 +86,17 @@ MAX_RANDOM_DIMENSION = 2**DENSE_MAX_LEVEL
 # an atomic space holds its masses and the symbol's atom values as lists and
 # vectors of one float per atom: 8 MB each at 2**20 atoms
 MAX_ATOMS = 2**20
-# a run holds one row per trial or swept k, as five floats and five empty-cell
-# flags, until it emits them: 2**18 rows take 12 MB, and a list of Row read
-# from them about 75 MB more
+# a run holds one row per trial or swept k, as five floats, until it emits
+# them: 2**18 rows take 10 MB, and a list of Row read from them about 75 MB
+# more
 MAX_ROWS = 2**18
 # the trial scenarios draw trials x dimension**2 entries and spend 35-80 ns
 # on each (measured on a 2-vCPU VM), so a run stays within 10-20 s
 MAX_TRIAL_ENTRIES = 2**28
 # a rank-r kernel holds two n x r factors: 64 MB at level 16 and rank 64
 MAX_RANK = 64
-# trial scenarios run in stacks whose arrays hold at most this many floats
-# each (32 kB), so the stack shrinks as the dimension grows
+# trial scenarios run in stacks whose matrix arrays hold at most this many
+# floats each (32 kB), so the stack shrinks as the dimension grows
 _STACK_ENTRIES = 4096
 # lattice_oracle checks the modulus on 3 x 3 operators against a grid of
 # 5 points per coordinate
@@ -487,9 +487,6 @@ class Row:
 
 # the fields of a Row, one CSV column each and in CSV order
 _COLUMNS = tuple(f.name for f in fields(Row))
-# a block of rows: its cells as a (len(_COLUMNS), rows) float64 array, NaN
-# where a cell is empty, and the mask of its empty cells
-_Block = tuple[np.ndarray, np.ndarray]
 
 
 def _make_rows(
@@ -497,40 +494,36 @@ def _make_rows(
     computed: Sequence[float] | float,
     certified: Sequence[float] | float | None = None,
     formula: Sequence[float] | float | None = None,
-) -> _Block:
-    """The one constructor of rows, a block of them at a time.
+) -> np.ndarray:
+    """The one constructor of rows, a block of them at a time, as a
+    (len(_COLUMNS), rows) float64 array.
 
-    A column given as None is empty, and a number fills its column; the
-    residual is |computed - formula| where both exist.  Raises ConfigError
-    at the first row holding a value that leaves the float range, naming
-    its first such column: such a row states nothing, and the config's
-    data caused it, so the sweep stops at the first block holding one.
+    A column given as None is empty and holds NaN, and a number fills its
+    column; the residual is |computed - formula| where both exist.  Raises
+    ConfigError at the first row holding a value that leaves the float
+    range, naming its first such column: such a row states nothing, and the
+    config's data caused it, so the sweep stops at the first block holding
+    one.  Every cell filled is thus finite, and NaN marks the empty ones.
     """
     param = np.asarray(param, dtype=float)
     cells = np.full((len(_COLUMNS), param.size), np.nan)
-    empty = np.ones(cells.shape, dtype=bool)
-    for i, values in enumerate((param, computed, certified, formula)):
-        if values is not None:
-            cells[i], empty[i] = values, False
-    # the residual's subtraction may overflow or meet inf - inf; as with
-    # Python floats, neither warns, and the finiteness test refuses the row
-    with np.errstate(over="ignore", invalid="ignore"):
-        if computed is not None and formula is not None:
+    given = (param, computed, certified, formula)
+    filled = [i for i, values in enumerate(given) if values is not None]
+    for i in filled:
+        cells[i] = given[i]
+    if computed is not None and formula is not None:
+        # the subtraction may overflow or meet inf - inf; as with Python
+        # floats, neither warns, and the finiteness test refuses the row
+        with np.errstate(over="ignore", invalid="ignore"):
             np.abs(cells[1] - cells[3], out=cells[4])
-            empty[4] = False
-        bad = ~(np.isfinite(cells) | empty)
+        filled.append(4)
+    bad = ~np.isfinite(cells[filled])
     if bad.any():
         row = int(np.argmax(bad.any(axis=0)))
-        column = int(np.argmax(bad[:, row]))
+        column = filled[int(np.argmax(bad[:, row]))]
         value, at = float(cells[column, row]), float(cells[0, row])
         raise ConfigError("<root>", f"row {at:g}: {_COLUMNS[column]} = {value} leaves the float range")
-    return cells, empty
-
-
-def _joined(blocks: Sequence[_Block]) -> _Block:
-    """The rows of several blocks, in order, as one block."""
-    cells, empty = zip(*blocks)
-    return np.concatenate(cells, axis=1), np.concatenate(empty, axis=1)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -557,38 +550,30 @@ class ScenarioResult:
     """A scenario's rows and checks.
 
     The rows are held as columns: ``columns[i]`` is the float64 array of
-    CSV column i (field i of Row) and ``empty[i]`` marks its empty cells,
-    which hold NaN.  ``rows`` is the same table as a list of Row, built on
-    first read.  The constructor takes a list of Row; the scenarios build
-    their results from columns through ``from_columns``.
+    CSV column i (field i of Row), NaN in an empty cell.  ``rows`` is the
+    same table as a list of Row, built on first read, an empty cell as None.
+    The constructor takes a list of Row, and reads both None and NaN in it
+    as an empty cell; the scenarios build their results from columns
+    through ``from_columns``.
     """
 
     def __init__(self, scenario: str, rows: Sequence[Row], checks: list[Check]):
-        self.scenario, self.checks, self.rows = scenario, checks, list(rows)
-        cells = [[getattr(row, name) for row in self.rows] for name in _COLUMNS]
-        shape = (len(_COLUMNS), len(self.rows))
-        self.empty = np.array([[v is None for v in c] for c in cells], dtype=bool).reshape(shape)
-        values = [[math.nan if v is None else v for v in c] for c in cells]
-        self.columns = np.array(values, dtype=float).reshape(shape)
+        self.scenario, self.checks = scenario, checks
+        cells = [[getattr(row, name) for row in rows] for name in _COLUMNS]
+        self.columns = np.array([[math.nan if v is None else v for v in c] for c in cells], dtype=float)
 
     @classmethod
-    def from_columns(
-        cls, scenario: str, columns: np.ndarray, empty: np.ndarray, checks: list[Check]
-    ) -> "ScenarioResult":
-        """A result over the (len(_COLUMNS), rows) arrays of its cells and of
-        its empty-cell mask, as _make_rows gives them."""
+    def from_columns(cls, scenario: str, columns: np.ndarray, checks: list[Check]) -> "ScenarioResult":
+        """A result over the (len(_COLUMNS), rows) array of its cells, as
+        _make_rows gives it."""
         result = cls.__new__(cls)
-        result.scenario, result.columns, result.empty, result.checks = scenario, columns, empty, checks
+        result.scenario, result.columns, result.checks = scenario, columns, checks
         return result
 
     @cached_property
     def rows(self) -> list[Row]:
         """The rows as Row values, an empty cell as None."""
-        cells = [
-            [None if e else v for v, e in zip(c.tolist(), empty.tolist())] if empty.any() else c.tolist()
-            for c, empty in zip(self.columns, self.empty)
-        ]
-        return [Row(*values) for values in zip(*cells)]
+        return [Row(*values) for values in zip(*(_cells(c, None) for c in self.columns))]
 
     @property
     def passed(self) -> bool:
@@ -630,8 +615,9 @@ def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[tuple[np.random.Ge
 
     One generator is reseeded per trial, so each one yielded is valid only
     until the next is drawn.  The states are derived in batches, whose
-    first trials the caller draws again through _draw_again, so a numpy
-    that seeds differently raises RuntimeError instead of changing draws.
+    first trials the trial scenarios draw again through _draw_again (see
+    _trial_stacks), so a numpy that seeds differently raises RuntimeError
+    instead of changing draws.
     """
     rng = np.random.Generator(np.random.PCG64())
     for lo in range(start, stop, _SEED_BATCH):
@@ -643,6 +629,32 @@ def _trial_rngs(seed: int, start: int, stop: int) -> Iterator[tuple[np.random.Ge
                 "bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0
             }
             yield rng, t == lo
+
+
+def _trial_stacks(
+    seed: int, trials: int, size: int, width: int, masses: np.ndarray | None = None, lo: float = 0.0, hi: float = 0.0
+) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+    """The draws of trials [0, trials), a stack of at most size at a time.
+
+    Yields each stack's first trial, the first width raw words of its k
+    trials as the rows of a (k, width) uint64 array, and the rows whose
+    trials open a seed batch, which the caller draws again through
+    _draw_again.  Given masses, masses[i] first takes uniform(lo, hi, dim),
+    which rounds and so stays with numpy's own code.  The next stack
+    writes over both arrays; until then the caller may use them as scratch.
+    """
+    raw = np.empty((size, width), dtype=np.uint64)
+    rngs = _trial_rngs(seed, 0, trials)
+    for start in range(0, trials, size):
+        k = min(size, trials - start)
+        opens = []
+        for i, (rng, opens_batch) in zip(range(k), rngs):
+            if masses is not None:
+                masses[i] = rng.uniform(lo, hi, masses.shape[1])
+            raw[i] = rng.bit_generator.random_raw(width)
+            if opens_batch:
+                opens.append(i)
+        yield start, raw[:k], opens
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +685,7 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
     quotients = _diagonal_quotients(u_atoms, space.masses)[order]
     suffix_max = np.append(np.maximum.accumulate(quotients[::-1])[::-1], 0.0)
     bounds = suffix_max[np.minimum(ks, space.n_atoms)]
-    cells, empty = _make_rows(ks, best_diagonal_rank_k(u_atoms, ks), bounds, formula)
+    cells = _make_rows(ks, best_diagonal_rank_k(u_atoms, ks), bounds, formula)
     _, computed, certified, _, _ = cells
 
     # each certificate is fl(fl(|u_i| mu_i) / mu_i), within 2u + u**2 of the
@@ -698,7 +710,7 @@ def _run_atomic_limsup(cfg: ExperimentConfig) -> ScenarioResult:
                 f"|M_u + K| = {achieved:.12g} at cutoff {cutoff}",
             )
         )
-    return ScenarioResult.from_columns(cfg.scenario, cells, empty, checks)
+    return ScenarioResult.from_columns(cfg.scenario, cells, checks)
 
 
 def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
@@ -735,14 +747,14 @@ def _run_diffuse_witness(cfg: ExperimentConfig) -> ScenarioResult:
         certified = cert.bound if verify_certificate(cert, u_l, K, cfg.p) else None
         blocks.append(_make_rows([level], cert.bound, certified, formula))
 
-    cells, empty = _joined(blocks)
-    checks = [Check("certificates_verified", not empty[2].any())]
-    return ScenarioResult.from_columns(cfg.scenario, cells, empty, checks)
+    cells = np.concatenate(blocks, axis=1)
+    checks = [Check("certificates_verified", not np.isnan(cells[2]).any())]
+    return ScenarioResult.from_columns(cfg.scenario, cells, checks)
 
 
 def _stack_size(entries_per_trial: int) -> int:
-    """Trials per stack: each array of a stack holds at most _STACK_ENTRIES
-    floats, or one trial when a trial alone takes more."""
+    """Trials per stack: an array of entries_per_trial floats per trial holds
+    at most _STACK_ENTRIES, or one trial when a trial alone takes more."""
     return max(1, _STACK_ENTRIES // entries_per_trial)
 
 
@@ -791,34 +803,21 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
     dim, lo, hi = rnd["dimension"], rnd["mass_low"], rnd["mass_high"]
     size = _stack_size(dim * dim)
     masses = np.empty((size, dim))
-    entries = np.empty((size, dim, dim))
-    # each trial's raw words: its entries, written into the stack itself, and
-    # one word per two coordinates of its first assignment
+    # each trial's raw words: its entries, and one word per two coordinates
+    # of its first assignment
     n2, pair_words = dim * dim, (dim + 1) // 2 if dim >= 2 else 0
-    words = entries.reshape(size, n2).view(np.uint64)
-    pairs = np.empty((size, pair_words), dtype=np.uint64)
     # one block at dimension 1, where no assignment is drawn
     assign = np.zeros((size, dim), dtype=np.int64)
     blocks = []
-    rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
-    for start in range(0, cfg.trials, size):
-        k = min(size, cfg.trials - start)
+    for start, raw, opens in _trial_stacks(cfg.seed, cfg.trials, size, n2 + pair_words, masses, lo, hi):
+        k = len(raw)
         # the first trial of each seed batch is drawn again through numpy
-        again = set()
-        for i, (rng, opens_batch) in zip(range(k), rngs):
-            # uniform(lo, hi) rounds, so the masses stay with numpy's own code
-            masses[i] = rng.uniform(lo, hi, dim)
-            raw = rng.bit_generator.random_raw(n2 + pair_words)
-            words[i], pairs[i] = raw[:n2], raw[n2:]
-            if opens_batch:
-                again.add(i)
-        # the last trial's words would outlive it by the whole stack
-        del raw
-        mu, A = masses[:k], _uniform_from_raw(words[:k]).reshape(k, dim, dim)
+        again = set(opens)
+        mu, A = masses[:k], _uniform_from_raw(raw[:, :n2]).reshape(k, dim, dim)
         if dim >= 2:
             # integers(0, 2) takes the top bit of each 32-bit half of a word,
             # low half first: Lemire's method at range 2, which never rejects
-            p = pairs[:k]
+            p = raw[:, n2:]
             assign[:k] = np.stack([p >> 31 & 1, p >> 63], axis=-1).reshape(k, -1)[:, :dim]
             # and so is a trial whose first assignment puts every coordinate
             # in one block, which numpy then draws again as documented
@@ -828,7 +827,7 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
             (assign[i],) = _draw_again(cfg.seed, start + i, derived, _pinching_draws, lo, hi, dim)
         worst = _p1_norms(_pinched(A, assign[:k]), mu)
         blocks.append(_make_rows(np.arange(start, start + k), worst, _p1_norms(A, mu)))
-    cells, empty = _joined(blocks)
+    cells = np.concatenate(blocks, axis=1)
     _, computed, certified, _, _ = cells
     violations = int(np.count_nonzero(computed > certified))
     checks = [
@@ -838,16 +837,16 @@ def _run_pinching_suite(cfg: ExperimentConfig) -> ScenarioResult:
             f"{violations} violation(s) in {computed.size} trials",
         )
     ]
-    return ScenarioResult.from_columns(cfg.scenario, cells, empty, checks)
+    return ScenarioResult.from_columns(cfg.scenario, cells, checks)
 
 
 def _non_increasing(values: np.ndarray) -> bool:
     return bool(np.all(values[1:] <= values[:-1]))
 
 
-def _formula_check(cells: np.ndarray, empty: np.ndarray) -> list[Check]:
+def _formula_check(cells: np.ndarray) -> list[Check]:
     """The matches_formula check over the rows that have a formula value."""
-    has = ~empty[4]
+    has = ~np.isnan(cells[4])
     if not has.any():
         return []
     residuals = cells[4, has] / np.maximum(1.0, np.abs(cells[3, has]))
@@ -868,7 +867,7 @@ def _run_rankone_centre_decay(cfg: ExperimentConfig) -> ScenarioResult:
         scale = abs(eta_spec["value"] * g_spec["value"]) * (interval[1] - interval[0])
         spec = {"kind": "power", "base": 0.5, "scale": scale}
     formula = None if spec is None else [_eval_formula(spec, level) for level in levels]
-    cells, empty = _make_rows(levels, values, None, formula)
+    cells = _make_rows(levels, values, None, formula)
     computed = cells[1]
 
     decays = computed.size < 2 or computed[-1] < computed[0] or computed[0] == 0.0
@@ -876,7 +875,7 @@ def _run_rankone_centre_decay(cfg: ExperimentConfig) -> ScenarioResult:
         Check("centre_norm_non_increasing", _non_increasing(computed)),
         Check("centre_norm_decays", bool(decays)),
     ]
-    return ScenarioResult.from_columns(cfg.scenario, cells, empty, checks + _formula_check(cells, empty))
+    return ScenarioResult.from_columns(cfg.scenario, cells, checks + _formula_check(cells))
 
 
 def _run_qn_decay(cfg: ExperimentConfig) -> ScenarioResult:
@@ -887,7 +886,7 @@ def _run_qn_decay(cfg: ExperimentConfig) -> ScenarioResult:
     profile = qn_decay_profile(K, cfg.n_max)
     ns = range(len(profile))
     formula = None if cfg.formula is None else [_eval_formula(cfg.formula, n) for n in ns]
-    cells, empty = _make_rows(ns, profile, None, formula)
+    cells = _make_rows(ns, profile, None, formula)
     param, computed = cells[:2]
 
     checks = [Check("profile_nonnegative", bool(np.all(computed >= 0.0)))]
@@ -900,7 +899,7 @@ def _run_qn_decay(cfg: ExperimentConfig) -> ScenarioResult:
         tails = np.append(np.cumsum(weights[::-1])[::-1], 0.0)[: computed.size]
         fits = np.abs(computed - tails) <= _gamma(2 * (space.dimension - param) + 5) * tails
         checks.append(Check("matches_rank_one_tail", bool(np.all(fits))))
-    return ScenarioResult.from_columns(cfg.scenario, cells, empty, checks + _formula_check(cells, empty))
+    return ScenarioResult.from_columns(cfg.scenario, cells, checks + _formula_check(cells))
 
 
 def _one_parameter_join_meet(S: np.ndarray, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -947,43 +946,32 @@ def _run_lattice_oracle(cfg: ExperimentConfig) -> ScenarioResult:
     # a trial's largest arrays: S, T, their join and meet (dim x dim each);
     # the modulus grid's image is taken over sub-stacks of its own
     size = _stack_size(dim * dim)
-    S, T = (np.empty((size, dim, dim)) for _ in range(2))
-    Sm = np.empty((size, _MODULUS_DIM, _MODULUS_DIM))
     ones = np.ones(_MODULUS_DIM)
-    # each trial's raw words, written into the stacks of S, T and Sm
+    # each trial's raw words: the entries of S, of T and of Sm
     n2 = dim * dim
-    words = [X.reshape(size, -1).view(np.uint64) for X in (S, T, Sm)]
     # computed column: join/meet deviation; certified column: modulus deviation
     blocks = []
-    rngs = _trial_rngs(cfg.seed, 0, cfg.trials)
-    for start in range(0, cfg.trials, size):
-        k = min(size, cfg.trials - start)
+    for start, raw, opens in _trial_stacks(cfg.seed, cfg.trials, size, 2 * n2 + _MODULUS_DIM**2):
+        k = len(raw)
+        entries = _uniform_from_raw(raw)
+        S, T = (entries[:, lo : lo + n2].reshape(k, dim, dim) for lo in (0, n2))
+        Sm = entries[:, 2 * n2 :].reshape(k, _MODULUS_DIM, _MODULUS_DIM)
         # the first trial of each seed batch is drawn again through numpy
-        again = []
-        for i, (rng, opens_batch) in zip(range(k), rngs):
-            raw = rng.bit_generator.random_raw(2 * n2 + _MODULUS_DIM**2)
-            words[0][i], words[1][i], words[2][i] = raw[:n2], raw[n2 : 2 * n2], raw[2 * n2 :]
-            if opens_batch:
-                again.append(i)
-        # the last trial's words would outlive it by the whole stack
-        del raw
-        for w in words:
-            _uniform_from_raw(w[:k])
-        for i in again:
+        for i in opens:
             _draw_again(cfg.seed, start + i, (S[i], T[i], Sm[i]), _lattice_draws, dim)
         # the library's kernels under test, one call per stack
-        J, M, applied = _join(S[:k], T[:k]), _meet(S[:k], T[:k]), _modulus(Sm[:k]) @ ones
-        oj, om = _one_parameter_join_meet(S[:k], T[:k])
+        J, M, applied = _join(S, T), _meet(S, T), _modulus(Sm) @ ones
+        oj, om = _one_parameter_join_meet(S, T)
         dev_jm = np.maximum(_max_abs_diff(J, oj), _max_abs_diff(M, om))
-        dev_mod = np.max(np.abs(_modulus_grid_oracle(Sm[:k]) - applied), axis=-1)
+        dev_mod = np.max(np.abs(_modulus_grid_oracle(Sm) - applied), axis=-1)
         blocks.append(_make_rows(np.arange(start, start + k), dev_jm, dev_mod, 0.0))
 
-    cells, empty = _joined(blocks)
+    cells = np.concatenate(blocks, axis=1)
     checks = [
         _at_most("join_meet_matches_oracle", cells[1], 1e-9, "deviation"),
         _at_most("modulus_matches_grid_oracle", cells[2], 1e-6, "deviation"),
     ]
-    return ScenarioResult.from_columns(cfg.scenario, cells, empty, checks)
+    return ScenarioResult.from_columns(cfg.scenario, cells, checks)
 
 
 def _eval_formula(spec: dict | None, param: float) -> float | None:
@@ -1067,21 +1055,25 @@ def run_scenario(config: ExperimentConfig) -> ScenarioResult:
 _CSV_CHUNK = 2**14
 
 
+def _cells(values: np.ndarray, empty_cell: Any, convert: Callable[[float], Any] | None = None) -> list:
+    """A column's cells: each value as a float, or through convert, and
+    empty_cell where the value is NaN."""
+    empty = np.isnan(values)
+    if empty.all():
+        return [empty_cell] * values.size
+    cells = values.tolist() if convert is None else list(map(convert, values.tolist()))
+    if empty.any():
+        cells = [empty_cell if e else c for c, e in zip(cells, empty.tolist())]
+    return cells
+
+
 def _csv_text(result: ScenarioResult) -> Iterator[str]:
     """The CSV table as csv.writer writes it, header first, then one string
     per chunk of rows: each column of a chunk formatted once with %.12g,
     an empty cell as ''."""
     yield ",".join(CSV_HEADER) + "\r\n"
     for lo in range(0, result.columns.shape[1], _CSV_CHUNK):
-        cells = []
-        for values, empty in zip(result.columns[:, lo : lo + _CSV_CHUNK], result.empty[:, lo : lo + _CSV_CHUNK]):
-            if empty.all():
-                cells.append([""] * values.size)
-                continue
-            text = list(map("%.12g".__mod__, values.tolist()))
-            if empty.any():
-                text = ["" if e else t for t, e in zip(text, empty.tolist())]
-            cells.append(text)
+        cells = [_cells(values, "", "%.12g".__mod__) for values in result.columns[:, lo : lo + _CSV_CHUNK]]
         yield "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
 
 

@@ -622,6 +622,19 @@ class TestRowColumns:
         assert all(len(c) == 5 and c[2] == b"" and all(c[:2] + c[3:]) for c in cells)
         assert all(row.certified is None for row in result.rows)
 
+    def test_nan_is_the_one_mark_of_an_empty_cell(self, tmp_path):
+        # a Row list reads None and NaN alike as an empty cell, and
+        # _make_rows fills a column given as None with NaN
+        rows = [Row(0.0, None, math.nan, 1.5, None), Row(1.0, math.nan, 2.0, None, math.nan)]
+        result = ScenarioResult("qn_decay", rows, [])
+        assert result.rows == [Row(0.0, None, None, 1.5, None), Row(1.0, None, 2.0, None, None)]
+        emit(result, tmp_path)
+        assert (tmp_path / "qn_decay.csv").read_bytes().split(b"\r\n")[1:] == [b"0,,,1.5,", b"1,,2,,", b""]
+        cells = experiments._make_rows([0, 1], [1.0, 2.0], None, None)
+        assert np.isnan(cells[2:]).all() and not np.isnan(cells[:2]).any()
+        made = ScenarioResult.from_columns("qn_decay", cells, [])
+        assert made.rows == [Row(0.0, 1.0, None, None, None), Row(1.0, 2.0, None, None, None)]
+
     def rows_and_columns(self):
         """(result, rows) pairs: each shipped config's result with its own
         Row view, and a result joined from three blocks, whose columns mix
@@ -632,7 +645,7 @@ class TestRowColumns:
             experiments._make_rows([1, 2], [-0.0, 1e300], [2.5, 5e-324]),
             experiments._make_rows([3], 7.0, None, None),
         ]
-        mixed = ScenarioResult.from_columns("qn_decay", *experiments._joined(blocks), [Check("mixed", True)])
+        mixed = ScenarioResult.from_columns("qn_decay", np.concatenate(blocks, axis=1), [Check("mixed", True)])
         rows = [
             Row(0.0, 1.0 / 3.0, None, 0.0, 1.0 / 3.0),
             Row(1.0, -0.0, 2.5, None, None),
